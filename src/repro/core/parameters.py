@@ -188,6 +188,16 @@ class ParameterScope(Mapping[str, float]):
             raise ParameterError(f"{name!r} is not set in this scope")
         del self._values[name]
 
+    def local_values(self) -> Dict[str, Union[float, Expression]]:
+        """A copy of this scope's own assignments, for :meth:`restore`."""
+        return dict(self._values)
+
+    def restore(self, values: Mapping[str, Union[float, Expression]]) -> None:
+        """Make ``values`` (from :meth:`local_values`) this scope's own
+        assignments again, undoing every ``set``/``unset`` since."""
+        self._values.clear()
+        self._values.update(values)
+
     # -- lookup ---------------------------------------------------------
 
     def raw(self, name: str) -> Union[float, Expression]:

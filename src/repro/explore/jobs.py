@@ -4,10 +4,19 @@ A :class:`SweepJob` is the durable record of one exploration run —
 the design (as a library payload, so a process that never saw the
 original request can rebuild it), the parameter space, the requested
 objectives, the engine settings, and every finished chunk's result
-rows.  :class:`JobStore` persists each job as one JSON file using the
-same mkstemp + fsync + atomic-rename discipline as the web session
-store, so a ``kill -9`` at any instant leaves either the previous
-complete checkpoint or the new complete checkpoint — never a torn one.
+rows.  :class:`JobStore` persists each job as one compact JSON document
+through the state backend's atomic, fsynced save (the same discipline
+as the web session store), so a ``kill -9`` at any instant leaves
+either the previous complete checkpoint or the new complete checkpoint
+— never a torn one.
+
+Every chunk is checkpointed, so a job is re-saved once per chunk.
+Chunks are write-once: a job keeps each recorded chunk's encoded text
+(:meth:`SweepJob.to_json`) and a checkpoint encodes only the header
+(settings, state, design, space) and the surrogate phase ``data``,
+splicing the cached chunk texts in with
+:func:`repro.state.jsondoc.assemble`.  The text is
+byte-identical to ``jsondoc.dumps(job.to_payload(), sort_keys=True)``.
 
 Resume is therefore trivial and *verifiable*: the engine replays only
 the chunks missing from :attr:`SweepJob.chunks`, and because every
@@ -27,8 +36,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.design import Design
 from ..errors import JobError, PowerPlayError
 from ..library.designio import design_from_payload, design_to_payload
-from ..obs import get_logger, get_registry
-from ..state import FileBackend, open_backend
+from ..obs import get_logger, get_registry, span
+from ..state import FileBackend, jsondoc, open_backend
 from .space import DerivedObjective, ParameterSpace
 
 _LOG = get_logger("jobs")
@@ -149,6 +158,9 @@ class SweepJob:
         self.cancel_requested = False
         #: chunk start index -> {"start", "stop", "rows", "seconds"}
         self.chunks: Dict[int, dict] = {}
+        #: (phase or None, chunk key) -> (chunk, its encoded text); see
+        #: :meth:`to_json`
+        self._fragments: Dict[tuple, tuple] = {}
         #: serializes state transitions and checkpoint writes for this
         #: job across the web runner thread and CLI resume
         self.lock = threading.RLock()
@@ -298,8 +310,9 @@ class SweepJob:
 
     # -- persistence -------------------------------------------------------
 
-    def to_payload(self) -> dict:
-        payload: Dict[str, object] = {
+    def _header(self) -> Dict[str, object]:
+        """Every top-level payload member except the chunk maps."""
+        header: Dict[str, object] = {
             "format": "powerplay-job/1",
             "job_id": self.job_id,
             "owner": self.owner,
@@ -315,13 +328,17 @@ class SweepJob:
             "state": self.state,
             "error": self.error,
             "cancel_requested": self.cancel_requested,
-            "chunks": {
-                str(start): chunk
-                for start, chunk in sorted(self.chunks.items())
-            },
         }
         if self.surrogate is not None:
-            payload["surrogate"] = dict(self.surrogate)
+            header["surrogate"] = dict(self.surrogate)
+        return header
+
+    def to_payload(self) -> dict:
+        payload = self._header()
+        payload["chunks"] = {
+            str(start): chunk for start, chunk in sorted(self.chunks.items())
+        }
+        if self.surrogate is not None:
             payload["phases"] = {
                 phase: {
                     key: (
@@ -333,6 +350,48 @@ class SweepJob:
                 for phase, slot in sorted(self.phases.items())
             }
         return payload
+
+    def to_json(self) -> str:
+        """The checkpoint text: ``jsondoc.dumps(self.to_payload(),
+        sort_keys=True)``, with each chunk encoded only once.
+
+        Chunks are write-once, so the first encoding of a chunk is kept
+        and reused by every later checkpoint; a chunk object replaced
+        under the same key is re-encoded.  Chunks that
+        :meth:`from_payload` restored are encoded on the first save.
+        """
+        with self.lock:
+            parts = {
+                key: jsondoc.dumps(value, sort_keys=True)
+                for key, value in self._header().items()
+            }
+            parts["chunks"] = self._encode_chunks(None, self.chunks)
+            if self.surrogate is not None:
+                parts["phases"] = jsondoc.assemble({
+                    phase: jsondoc.assemble({
+                        key: (
+                            self._encode_chunks(phase, value)
+                            if key == "chunks"
+                            else jsondoc.dumps(value, sort_keys=True)
+                        )
+                        for key, value in slot.items()
+                    }, sort_keys=True)
+                    for phase, slot in self.phases.items()
+                }, sort_keys=True)
+            return jsondoc.assemble(parts, sort_keys=True)
+
+    def _encode_chunks(self, phase: Optional[str],
+                       chunks: Mapping[int, dict]) -> str:
+        fragments = self._fragments
+        parts = {}
+        for key, chunk in chunks.items():
+            cached = fragments.get((phase, key))
+            if cached is None or cached[0] is not chunk:
+                cached = fragments[(phase, key)] = (
+                    chunk, jsondoc.dumps(chunk, sort_keys=True)
+                )
+            parts[str(key)] = cached[1]
+        return jsondoc.assemble(parts, sort_keys=True)
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SweepJob":
@@ -401,6 +460,7 @@ class SweepJob:
                     "rows": list(chunk["rows"]),
                     "seconds": float(chunk.get("seconds", 0.0)),
                 }
+            job._fragments = {}
             job.lock = threading.RLock()
             job._store = None
             return job
@@ -567,10 +627,18 @@ class JobStore:
         return jobs
 
     def save_job(self, job: SweepJob) -> None:
-        """Atomically persist one job's checkpoint (crash-safe)."""
-        payload = json.dumps(job.to_payload(), indent=1, sort_keys=True)
-        with self.backend.lock(self.NAMESPACE, job.job_id):
-            self.backend.save(self.NAMESPACE, job.job_id, payload)
+        """Atomically persist one job's checkpoint (crash-safe).
+
+        The document is :meth:`SweepJob.to_json` — compact JSON with
+        sorted keys, assembled from the job's cached chunk texts — and
+        is fully encoded before the backend is touched.
+        """
+        with span("jobs.checkpoint", job=job.job_id):
+            with span("jobs.encode"):
+                text = job.to_json()
+            with span("state.write", namespace=self.NAMESPACE), \
+                    self.backend.lock(self.NAMESPACE, job.job_id):
+                self.backend.save(self.NAMESPACE, job.job_id, text)
         _metric_jobs().inc(op="save")
 
     def forget(self, job_id: str) -> None:

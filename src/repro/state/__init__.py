@@ -13,7 +13,10 @@ Public surface:
 * :class:`~repro.state.sqlitestate.SQLiteBackend` — WAL-mode SQLite
   with per-key row transactions instead of a global store lock;
 * :mod:`~repro.state.fsio` — the single home of the mkstemp + fsync +
-  atomic-rename + quarantine rituals every file-based store shares.
+  atomic-rename + quarantine rituals every file-based store shares;
+* :mod:`~repro.state.jsondoc` — the one compact JSON encoder the
+  session and job stores share, and the assembler that splices their
+  cached, already-encoded parts into a document.
 """
 
 from .backend import BACKEND_KINDS, StateBackend, open_backend

@@ -3,8 +3,10 @@
 One ``<key>.json`` per document.  The layout is *exactly* what the
 stores wrote before the :class:`~repro.state.backend.StateBackend`
 interface existed, so a state directory created by any earlier version
-opens unchanged under this backend — and files this backend writes are
-indistinguishable from the old stores' files:
+opens unchanged under this backend.  The backend stores whatever text
+a store hands it; the session and job stores now write compact JSON
+(:mod:`repro.state.jsondoc`) where earlier versions wrote indented
+JSON, and read both.  The paths:
 
 * ``users``    -> ``<root>/<user>.json`` (sessions live at the root,
   as they have since PR 1);

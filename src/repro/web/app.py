@@ -195,6 +195,29 @@ def _build_example(name: str) -> Design:
     raise WebError(f"unknown example {name!r}")
 
 
+def _apply_play_edits(design: Design, data: Mapping[str, str]) -> None:
+    """Apply a PLAY form's ``g:`` (design scope) and ``p:row:name``
+    (row scope) edits to ``design``: all of them, or — when one raises —
+    none, re-raising that error."""
+    saved = {}  # id(scope) -> (scope, its own values before any edit)
+    try:
+        for key, text in data.items():
+            if key.startswith("g:"):
+                scope, name = design.scope, key[2:]
+            elif key.startswith("p:"):
+                _prefix, row_name, name = key.split(":", 2)
+                scope = design.row(row_name).scope
+            else:
+                continue
+            if id(scope) not in saved:
+                saved[id(scope)] = (scope, scope.local_values())
+            scope.set(name, text)
+    except BaseException:
+        for scope, values in saved.values():
+            scope.restore(values)
+        raise
+
+
 class Application:
     """PowerPlay server state + request dispatch."""
 
@@ -845,17 +868,16 @@ class Application:
         name = data.get("name", "")
         design, path = self._resolve_design(session, name, data.get("path", ""))
         error = ""
-        try:
-            for key, text in data.items():
-                if key.startswith("g:"):
-                    design.scope.set(key[2:], text)
-                elif key.startswith("p:"):
-                    _prefix, row_name, parameter = key.split(":", 2)
-                    design.row(row_name).set(parameter, text)
-        except PowerPlayError as exc:
-            error = str(exc)
-        report = cached_evaluate_power(design, cache=self.eval_cache)
-        session.put_design(session.design(name))  # persist top-level design
+        with session.lock:
+            try:
+                _apply_play_edits(design, data)
+            except PowerPlayError as exc:
+                error = str(exc)
+            report = cached_evaluate_power(design, cache=self.eval_cache)
+            if not error:
+                # persist the top-level design; a failed PLAY changed
+                # nothing, so it writes nothing
+                session.put_design(session.design(name))
         return Response(
             body=pages.design_sheet_page(
                 user, design, report, name, path, error,

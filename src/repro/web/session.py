@@ -7,13 +7,22 @@ from the PowerPlay server's local file system.  These user defaults
 include the relevant hardware libraries and any previously generated
 designs."
 
-:class:`UserStore` reproduces exactly that: one JSON file per user under
-a server-local directory, holding
+:class:`UserStore` reproduces exactly that: one compact JSON document
+per user (by default a file under a server-local directory), holding
 
 * ``defaults`` — per-model parameter defaults remembered across visits
   ("A Perl script updates the user defaults ...");
 * ``designs`` — serialized designs (via :mod:`repro.library.designio`);
 * ``models`` — the user's self-defined primitives (library payloads).
+
+The document is re-saved after every change, but a change touches one
+design at most, so each session keeps every design's encoded text and
+re-encodes a design only after :meth:`UserSession.put_design` (or
+:meth:`~UserSession.delete_design`, :meth:`~UserSession.load_payload`)
+drops it.  Designs are therefore changed through ``put_design``: edit
+the design in place, then put it back.  The saved text is
+byte-identical to ``jsondoc.dumps(session.to_payload())``; documents
+that earlier versions wrote with indentation load unchanged.
 """
 
 from __future__ import annotations
@@ -29,10 +38,10 @@ from typing import Dict, List, Mapping, Optional
 
 from ..core.design import Design
 from ..errors import PowerPlayError, SessionError
-from ..state import open_backend
+from ..state import jsondoc, open_backend
 from ..library.catalog import Library, LibraryEntry
 from ..library.designio import design_from_payload, design_to_payload
-from ..obs import get_logger, get_registry
+from ..obs import get_logger, get_registry, span
 
 _LOG = get_logger("session")
 
@@ -85,6 +94,8 @@ class UserSession:
         #: password-restricted access".  Stored as salted SHA-256.
         self._password_salt: str = ""
         self._password_hash: str = ""
+        #: design name -> (design, its encoded payload); see to_json()
+        self._encoded: Dict[str, tuple] = {}
 
     # -- password protection ---------------------------------------------
 
@@ -144,8 +155,15 @@ class UserSession:
         return design
 
     def put_design(self, design: Design) -> None:
+        """Store (or re-store, after in-place edits) one design and save."""
         with self.lock:
             self.designs[design.name] = design
+            # drop every cached text of this name or this object: the
+            # caller may have edited the design in place
+            self._encoded = {
+                name: cached for name, cached in self._encoded.items()
+                if name != design.name and cached[0] is not design
+            }
             self.save()
 
     def delete_design(self, name: str) -> None:
@@ -155,23 +173,52 @@ class UserSession:
                     f"user {self.username!r} has no design {name!r}"
                 )
             del self.designs[name]
+            self._encoded.pop(name, None)
             self.save()
 
     # -- persistence ----------------------------------------------------------
 
-    def to_payload(self) -> dict:
+    def _header(self) -> dict:
+        """The payload members before ``designs``, in document order."""
         return {
             "format": "powerplay-user/1",
             "username": self.username,
             "password_salt": self._password_salt,
             "password_hash": self._password_hash,
             "defaults": self.defaults,
-            "designs": {
-                name: design_to_payload(design)
-                for name, design in self.designs.items()
-            },
-            "models": [entry.to_payload() for entry in self.user_library],
         }
+
+    def _models(self) -> list:
+        return [entry.to_payload() for entry in self.user_library]
+
+    def to_payload(self) -> dict:
+        payload = self._header()
+        payload["designs"] = {
+            name: design_to_payload(design)
+            for name, design in self.designs.items()
+        }
+        payload["models"] = self._models()
+        return payload
+
+    def to_json(self) -> str:
+        """The saved text: ``jsondoc.dumps(self.to_payload())``, with
+        each design encoded once per :meth:`put_design`."""
+        with self.lock:
+            parts = {
+                key: jsondoc.dumps(value)
+                for key, value in self._header().items()
+            }
+            designs = {}
+            for name, design in self.designs.items():
+                cached = self._encoded.get(name)
+                if cached is None or cached[0] is not design:
+                    cached = self._encoded[name] = (
+                        design, jsondoc.dumps(design_to_payload(design))
+                    )
+                designs[name] = cached[1]
+            parts["designs"] = jsondoc.assemble(designs)
+            parts["models"] = jsondoc.dumps(self._models())
+            return jsondoc.assemble(parts)
 
     def load_payload(self, payload: Mapping) -> None:
         if payload.get("format") != "powerplay-user/1":
@@ -186,6 +233,7 @@ class UserSession:
             for model, values in payload.get("defaults", {}).items()
         }
         self.designs = {}
+        self._encoded = {}
         for name, design_payload in payload.get("designs", {}).items():
             self.designs[name] = design_from_payload(design_payload)
         self.user_library = Library(
@@ -211,7 +259,9 @@ class UserStore:
     under ``root``, written with the mkstemp + fsync + atomic-rename
     ritual — so a store created by any earlier version opens unchanged;
     ``serve --backend sqlite`` swaps in WAL-mode SQLite without this
-    class changing shape.
+    class changing shape.  Documents are written as compact JSON
+    (:meth:`UserSession.to_json`); the indented documents earlier
+    versions wrote are read by the same ``json.loads``.
 
     A state document that is unreadable (disk damage, manual edits, a
     foreign format) is **quarantined**, not fatal: the backend moves
@@ -310,11 +360,14 @@ class UserStore:
         torn or interleaved one.  The backend's per-key lock keeps two
         threads saving the same user from landing out of order.
         """
-        payload = json.dumps(session.to_payload(), indent=1)
-        with self.backend.lock(self.NAMESPACE, session.username):
-            self.backend.save(self.NAMESPACE, session.username, payload)
+        with span("session.save", user=session.username):
+            with span("session.encode"):
+                text = session.to_json()
+            with span("state.write", namespace=self.NAMESPACE), \
+                    self.backend.lock(self.NAMESPACE, session.username):
+                self.backend.save(self.NAMESPACE, session.username, text)
         _metric_sessions().inc(op="save")
-        _LOG.debug("save", user=session.username, bytes=len(payload))
+        _LOG.debug("save", user=session.username, bytes=len(text))
 
     def forget(self, username: str) -> None:
         """Drop the in-memory session (state file remains)."""

@@ -7,6 +7,8 @@ import pytest
 from repro.web.app import Application
 
 USER = "lidsky"
+#: the paragraph a page shows a form error in
+ERROR = '<p class="error">'
 
 
 @pytest.fixture
@@ -205,6 +207,88 @@ class TestExamples:
         )
         # VDD2 isn't local to custom_hardware; setting it there shadows.
         assert response.status == 200
+
+
+class TestAtomicPlay:
+    """A PLAY applies every edit or none, and a failed one saves nothing."""
+
+    @pytest.fixture
+    def saves(self, app):
+        counted = []
+        original = app.users.save_session
+
+        def counting(session):
+            counted.append(session.username)
+            original(session)
+
+        app.users.save_session = counting
+        return counted
+
+    def play(self, app, name, **edits):
+        return app.handle("POST", "/design", {"user": USER, "name": name,
+                                              **edits})
+
+    def test_scope_edits_all_or_none(self, app, saves):
+        post(app, "/design/load_example", user=USER, example="infopad")
+        session = app.users.session(USER)
+        before = app.users.read_disk(USER)
+        vdd1 = session.design("infopad").scope.raw("VDD1")
+        saves.clear()
+        response = self.play(app, "infopad",
+                             **{"g:VDD1": "9.9", "g:VDD2": "(("})
+        assert response.status == 200
+        assert ERROR in response.body
+        assert session.design("infopad").scope.raw("VDD1") == vdd1
+        assert saves == []
+        assert app.users.read_disk(USER) == before
+
+    def test_row_edits_all_or_none(self, app, saves):
+        TestDesigns().make_design(app)
+        TestDesigns().save_multiplier(app)
+        row = app.users.session(USER).design("demo").row("mult16")
+        local = row.scope.local_values()
+        before = app.users.read_disk(USER)
+        saves.clear()
+        response = self.play(app, "demo", **{"p:mult16:VDD": "1.0",
+                                             "p:mult16:bitwidthA": "-3"})
+        assert ERROR in response.body
+        assert row.scope.local_values() == local
+        assert saves == []
+        assert app.users.read_disk(USER) == before
+
+    def test_unknown_row_undoes_earlier_scope_edit(self, app, saves):
+        TestDesigns().make_design(app)
+        design = app.users.session(USER).design("demo")
+        before = app.users.read_disk(USER)
+        saves.clear()
+        response = self.play(app, "demo", **{"g:VDD": "3.3",
+                                             "p:ghost:VDD": "1.0"})
+        assert ERROR in response.body
+        assert design.scope.raw("VDD") == 1.5
+        assert saves == []
+        assert app.users.read_disk(USER) == before
+
+    def test_new_names_are_removed_again(self, app, saves):
+        TestDesigns().make_design(app)
+        design = app.users.session(USER).design("demo")
+        local = design.scope.local_values()
+        response = self.play(app, "demo", **{"g:k": "2", "g:VDD": "(("})
+        assert ERROR in response.body
+        assert design.scope.local_values() == local
+        assert list(design.scope.local_values()) == list(local)
+
+    def test_successful_play_saves_every_edit(self, app, saves):
+        TestDesigns().make_design(app)
+        TestDesigns().save_multiplier(app)
+        saves.clear()
+        response = self.play(app, "demo", **{"g:f": "4M",
+                                             "p:mult16:VDD": "1.0"})
+        assert ERROR not in response.body
+        assert saves == [USER]
+        disk = json.loads(app.users.read_disk(USER))
+        assert disk == app.users.session(USER).to_payload()
+        assert app.users.session(USER).design("demo").row(
+            "mult16").scope.raw("VDD") == 1.0
 
 
 class TestDefineModel:
