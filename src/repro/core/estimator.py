@@ -179,12 +179,17 @@ class TimingReport:
 # ---------------------------------------------------------------------------
 
 
-class _RowEnv(Mapping[str, float]):
-    """Instance scope + inter-model extras, presented as one mapping."""
+class RowEnv(Mapping[str, float]):
+    """Instance scope + inter-model extras, presented as one mapping.
+
+    ``extras`` is kept as given, not copied: callers pass a fresh dict.
+    """
+
+    __slots__ = ("_scope", "_extras")
 
     def __init__(self, scope: ParameterScope, extras: Mapping[str, float]):
         self._scope = scope
-        self._extras = dict(extras)
+        self._extras = extras
 
     def __getitem__(self, name: str) -> float:
         if name in self._extras:
@@ -339,7 +344,7 @@ def _evaluate_instance_timed(
     row: Instance, computed: Mapping[str, PowerReport]
 ) -> PowerReport:
     extras = _feed_extras(row, computed)
-    env = _RowEnv(row.scope, extras)
+    env = RowEnv(row.scope, extras)
     if row.measured_power is not None:
         # back-annotated rows use the measurement, not the model
         unit_power = row.measured_power
@@ -404,7 +409,7 @@ def _evaluate_area(design: Design) -> AreaReport:
         if model is None:
             children.append(AreaReport(row.name, 0.0, modeled=False))
             continue
-        env = _RowEnv(row.scope, {})
+        env = RowEnv(row.scope, {})
         children.append(
             AreaReport(row.name, model.area(env) * row.quantity, modeled=True)
         )
@@ -439,7 +444,7 @@ def _evaluate_timing(design: Design) -> TimingReport:
         if model is None:
             children.append(TimingReport(row.name, 0.0, modeled=False))
             continue
-        env = _RowEnv(row.scope, {})
+        env = RowEnv(row.scope, {})
         children.append(TimingReport(row.name, model.delay(env), modeled=True))
     modeled = [node.delay for node in children if node.modeled]
     critical = max(modeled) if modeled else 0.0

@@ -415,7 +415,8 @@ def evaluate(node: Node, env: Optional[Mapping[str, float]] = None) -> float:
     inter-model references such as "power of the load of this DC-DC
     converter").  Unknown names raise :class:`EvaluationError`.
     """
-    env = env or {}
+    if env is None:
+        env = {}
     return _eval(node, env)
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.design import Design, Instance, SubDesign
+from ..core.estimator import RowEnv
 from ..core.parameters import ParameterScope
 from ..errors import DesignError, ExploreError, ModelError, PowerPlayError
 
@@ -90,41 +91,6 @@ def resolve_target(design: Design, target: str) -> Tuple[ParameterScope, str]:
     return node.scope, name
 
 
-class _Env(Mapping[str, float]):
-    """Instance scope + inter-model extras — semantics of the
-    estimator's ``_RowEnv``, reconstructed cheaply per point."""
-
-    __slots__ = ("_scope", "_extras")
-
-    def __init__(self, scope: ParameterScope, extras: Mapping[str, float]):
-        self._scope = scope
-        self._extras = extras
-
-    def __getitem__(self, name: str) -> float:
-        if name in self._extras:
-            return self._extras[name]
-        return self._scope[name]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._extras or name in self._scope
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self._extras
-        for name in self._scope.names():
-            if name not in self._extras:
-                yield name
-
-    def __len__(self) -> int:
-        return len(set(self._extras) | set(self._scope.names()))
-
-    def __bool__(self) -> bool:
-        # truth-testing must not fall back to __len__: expression
-        # evaluation does ``env = env or {}`` on every call, and a
-        # __len__ fallback would (a) walk the whole scope chain and
-        # (b) look like non-replayable iteration to the recorder
-        return True
-
-
 class _Recorder(Mapping[str, float]):
     """Wraps an environment and records every read for later replay."""
 
@@ -164,12 +130,6 @@ class _Recorder(Mapping[str, float]):
     def __len__(self) -> int:
         self.unstable = True
         return len(self._env)
-
-    def __bool__(self) -> bool:
-        # replay-safe: every env wraps a design scope and is never
-        # empty, and even for an empty one ``env or {}`` picks an
-        # equivalently-behaving mapping either way
-        return True
 
 
 class _Memo:
@@ -349,7 +309,7 @@ class BatchEvaluator:
                 extras[f"A.{feed}"] = feed_area
                 total_area += feed_area
             extras["active_area"] = total_area
-        env = _Env(row.scope, extras)
+        env = RowEnv(row.scope, extras)
         memo = compiled.power_memo
         if memo.matches(env):
             self.hits += 1
@@ -391,7 +351,7 @@ class BatchEvaluator:
             if row.models.area is None:
                 children.append(0.0)
                 continue
-            env = _Env(row.scope, {})
+            env = RowEnv(row.scope, {})
             memo = compiled.area_memo
             if memo.matches(env):
                 self.hits += 1
@@ -421,7 +381,7 @@ class BatchEvaluator:
             if model is None:
                 children.append((0.0, False))
                 continue
-            env = _Env(row.scope, {})
+            env = RowEnv(row.scope, {})
             memo = compiled.timing_memo
             if memo.matches(env):
                 self.hits += 1

@@ -5,6 +5,13 @@ Transport-independent: :meth:`Application.handle` maps
 every page without sockets and :mod:`repro.web.server` exposes the same
 object over real HTTP.
 
+Every route is declared once, in :data:`ROUTES`.  Dispatch reads it,
+so does the ``405`` a known path answers to a method it does not take
+(with an ``Allow`` header naming the ones it does), and so do the
+metric labels (:func:`route_label`).  :func:`parse_request` is the one
+reading of a request's route and fields; the per-user lock and the
+pre-fork front's shard key (:func:`request_user`) both use it.
+
 The flow is the paper's, page for page: identify -> menu -> pick a
 library element -> parameterize it on its input form (instant feedback)
 -> save it into a design -> explore on the design spreadsheet with PLAY
@@ -149,36 +156,105 @@ class Response:
 
 EXAMPLES = ("luminance_fig1", "luminance_fig3", "infopad")
 
-#: every fixed route `_dispatch` knows — used to normalize metric labels
-#: so an attacker probing random paths cannot mint unbounded label sets
-KNOWN_ROUTES = frozenset(
-    {
-        "/", "/login", "/password", "/menu", "/library", "/cell",
-        "/cell/save", "/design", "/design/analysis", "/design/new",
-        "/design/load_example", "/define", "/sweep", "/sweep/job",
-        "/sweep/result", "/sweep/cancel", "/export/design",
-        "/export/library", "/api/library.json", "/api/model",
-        "/api/design", "/agent/estimate", "/api/ping", "/doc/models",
-        "/tutorial", "/help", "/metrics", "/status", "/trace", "/profile",
-        "/registry", "/healthz", "/api/registry/catalog.json",
-        "/api/registry/artifact", "/api/registry/publish",
-        "/api/registry/sync", "/fleet", "/debug/flight", "/history",
-        "/api/history/query",
-    }
-)
-
 #: /healthz states, worst last; the numeric code is the
 #: ``powerplay_health_state`` gauge value
 HEALTH_STATES = ("ok", "degraded", "failing")
 
+#: the one pattern route: ``/doc/cell/<name>``
+DOC_CELL = "/doc/cell/:name"
+
+#: every route, declared once: ``(method, path) -> handler attribute``.
+#: Method ``None`` answers any method.  Handlers are looked up on the
+#: instance at call time, so replacing one on an instance reroutes it.
+#: Dispatch, the 405 ``Allow`` header and the metric labels all read
+#: this table.
+ROUTES: Dict[Tuple[Optional[str], str], str] = {
+    (None, "/"): "_front_page",
+    ("POST", "/login"): "_login",
+    ("POST", "/password"): "_set_password",
+    (None, "/menu"): "_menu",
+    (None, "/library"): "_library",
+    ("GET", "/cell"): "_cell_form",
+    ("POST", "/cell"): "_cell_compute",
+    ("POST", "/cell/save"): "_cell_save",
+    ("GET", "/design"): "_design_sheet",
+    ("POST", "/design"): "_design_play",
+    ("GET", "/design/analysis"): "_design_analysis",
+    ("POST", "/design/new"): "_design_new",
+    ("POST", "/design/load_example"): "_design_load_example",
+    ("GET", "/define"): "_define_form",
+    ("POST", "/define"): "_define_model",
+    ("GET", "/sweep"): "_sweep_form",
+    ("POST", "/sweep"): "_sweep_submit",
+    ("GET", "/sweep/job"): "_sweep_job_status",
+    ("GET", "/sweep/result"): "_sweep_result",
+    ("POST", "/sweep/cancel"): "_sweep_cancel",
+    (None, "/export/design"): "_export_design",
+    (None, "/export/library"): "_export_library",
+    (None, "/api/library.json"): "_api_library",
+    (None, "/api/model"): "_api_model",
+    (None, "/api/design"): "_export_design",
+    (None, "/agent/estimate"): "_agent_estimate",
+    (None, "/api/ping"): "_api_ping",
+    (None, "/metrics"): "_metrics_exposition",
+    (None, "/status"): "_status_page",
+    (None, "/healthz"): "_healthz",
+    (None, "/fleet"): "_fleet_endpoint",
+    (None, "/history"): "_history_endpoint",
+    (None, "/api/history/query"): "_api_history_query",
+    (None, "/debug/flight"): "_flight_endpoint",
+    (None, "/registry"): "_registry_page",
+    (None, "/api/registry/catalog.json"): "_api_registry_catalog",
+    (None, "/api/registry/artifact"): "_api_registry_artifact",
+    ("POST", "/api/registry/publish"): "_api_registry_publish",
+    ("POST", "/api/registry/sync"): "_api_registry_sync",
+    (None, "/trace"): "_trace_endpoint",
+    (None, "/profile"): "_profile_endpoint",
+    (None, DOC_CELL): "_doc_cell",
+    (None, "/doc/models"): "_help",
+    (None, "/tutorial"): "_tutorial",
+    (None, "/help"): "_help",
+}
+
+_PATHS = frozenset(path for _method, path in ROUTES)
+
 
 def route_label(route: str) -> str:
-    """Collapse a request path to a bounded metric label."""
-    if route in KNOWN_ROUTES:
+    """The ``ROUTES`` path a request path matches, or ``(unmatched)`` —
+    a bounded metric label, so probing random paths mints no labels."""
+    if route in _PATHS:
         return route
     if route.startswith("/doc/cell/"):
-        return "/doc/cell/:name"
+        return DOC_CELL
     return "(unmatched)"
+
+
+def parse_request(
+    path: str, form: Optional[Mapping[str, str]] = None
+) -> Tuple[str, Dict[str, str]]:
+    """Split a request into its route and its fields: the query string
+    first, form fields override."""
+    parsed = urllib.parse.urlsplit(path)
+    data = {
+        key: values[-1]
+        for key, values in urllib.parse.parse_qs(parsed.query).items()
+    }
+    data.update(form or {})
+    return parsed.path.rstrip("/") or "/", data
+
+
+def _valid_user(data: Mapping[str, str]) -> str:
+    user = data.get("user", "")
+    try:
+        return validate_username(user) if user else ""
+    except SessionError:
+        return ""
+
+
+def request_user(path: str, form: Optional[Mapping[str, str]] = None) -> str:
+    """The valid user a request names, or "" for none (or an invalid
+    one) — the key of both the per-user lock and the worker shard."""
+    return _valid_user(parse_request(path, form)[1])
 
 
 #: gauge code -> state word, for the /status dashboard
@@ -424,14 +500,7 @@ class Application:
         oversized trace header is ignored — never an error.
         """
         started = time.perf_counter()
-        parsed = urllib.parse.urlsplit(path)
-        route = parsed.path.rstrip("/") or "/"
-        query = {
-            key: values[-1]
-            for key, values in urllib.parse.parse_qs(parsed.query).items()
-        }
-        data: Dict[str, str] = dict(query)
-        data.update(form or {})
+        route, data = parse_request(path, form)
         label = route_label(route)
         request_id = f"req-{next(self._request_ids):08x}"
         context = propagate.extract_context(headers)
@@ -509,7 +578,7 @@ class Application:
         self._access.info(
             "request",
             method=method.upper(),
-            path=parsed.path,
+            path=route,
             route=label,
             status=response.status,
             duration_ms=round(duration * 1e3, 3),
@@ -530,111 +599,31 @@ class Application:
         or two saves could race a check-then-add.  Requests naming an
         invalid user skip the lock — they fail in validation anyway.
         """
-        user = data.get("user", "")
-        try:
-            user = validate_username(user) if user else ""
-        except SessionError:
-            user = ""
+        user = _valid_user(data)
         if user:
             with self.user_lock(user):
                 return self._dispatch(method, route, data)
         return self._dispatch(method, route, data)
 
     def _dispatch(self, method: str, route: str, data: Dict[str, str]) -> Response:
-        if route == "/":
-            return Response(body=pages.login_page())
-        if route == "/login" and method == "POST":
-            return self._login(data)
-        if route == "/password" and method == "POST":
-            return self._set_password(data)
-        if route == "/menu":
-            return self._menu(data)
-        if route == "/library":
-            return self._library(data)
-        if route == "/cell" and method == "GET":
-            return self._cell_form(data)
-        if route == "/cell" and method == "POST":
-            return self._cell_compute(data)
-        if route == "/cell/save" and method == "POST":
-            return self._cell_save(data)
-        if route == "/design" and method == "GET":
-            return self._design_sheet(data)
-        if route == "/design/analysis" and method == "GET":
-            return self._design_analysis(data)
-        if route == "/design" and method == "POST":
-            return self._design_play(data)
-        if route == "/design/new" and method == "POST":
-            return self._design_new(data)
-        if route == "/design/load_example" and method == "POST":
-            return self._design_load_example(data)
-        if route == "/define" and method == "GET":
-            user = self._user(data)
+        path = route_label(route)
+        name = ROUTES.get((method, path)) or ROUTES.get((None, path))
+        if name is None:
+            allowed = ", ".join(sorted(m for m, p in ROUTES if p == path))
+            if not allowed:
+                return Response.not_found(f"no route for {method} {route}")
             return Response(
-                body=pages.define_model_page(user, auth=self._auth_token(user))
+                status=405,
+                body=pages.H.error_page(
+                    "Method not allowed",
+                    f"{route} answers {allowed}, not {method}",
+                ),
+                headers={"Allow": allowed},
             )
-        if route == "/define" and method == "POST":
-            return self._define_model(data)
-        if route == "/sweep" and method == "GET":
-            return self._sweep_form(data)
-        if route == "/sweep" and method == "POST":
-            return self._sweep_submit(data)
-        if route == "/sweep/job" and method == "GET":
-            return self._sweep_job_status(data)
-        if route == "/sweep/result" and method == "GET":
-            return self._sweep_result(data)
-        if route == "/sweep/cancel" and method == "POST":
-            return self._sweep_cancel(data)
-        if route == "/export/design":
-            return self._export_design(data)
-        if route == "/export/library":
-            return self._export_library(data)
-        if route == "/api/library.json":
-            return self._api_library(data)
-        if route == "/api/model":
-            return self._api_model(data)
-        if route == "/api/design":
-            return self._export_design(data)
-        if route == "/agent/estimate":
-            return self._agent_estimate(data)
-        if route == "/api/ping":
-            return Response.json({"server": self.server_name, "protocol": "powerplay/1"})
-        if route == "/metrics":
-            return self._metrics_exposition()
-        if route == "/status":
-            return self._status_page()
-        if route == "/healthz":
-            return self._healthz()
-        if route == "/fleet":
-            return self._fleet_endpoint(data)
-        if route == "/history":
-            return self._history_endpoint(data)
-        if route == "/api/history/query":
-            return self._api_history_query(data)
-        if route == "/debug/flight":
-            return self._flight_endpoint(data)
-        if route == "/registry":
-            return self._registry_page()
-        if route == "/api/registry/catalog.json":
-            return self._api_registry_catalog()
-        if route == "/api/registry/artifact":
-            return self._api_registry_artifact(data)
-        if route == "/api/registry/publish" and method == "POST":
-            return self._api_registry_publish(data)
-        if route == "/api/registry/sync" and method == "POST":
-            return self._api_registry_sync(data)
-        if route == "/trace":
-            return self._trace_endpoint(data)
-        if route == "/profile":
-            return self._profile_endpoint(data)
-        if route.startswith("/doc/cell/"):
-            return self._doc_cell(route.rsplit("/", 1)[-1], data)
-        if route == "/doc/models":
-            return Response(body=pages.help_page())
-        if route == "/tutorial":
-            return Response(body=pages.tutorial_page())
-        if route == "/help":
-            return Response(body=pages.help_page())
-        return Response.not_found(f"no route for {method} {route}")
+        handler = getattr(self, name)
+        if path == DOC_CELL:
+            return handler(route.rsplit("/", 1)[-1], data)
+        return handler(data)
 
     # -- helpers -----------------------------------------------------------
 
@@ -675,6 +664,9 @@ class Application:
         return values
 
     # -- pages ----------------------------------------------------------------
+
+    def _front_page(self, data: Mapping[str, str]) -> Response:
+        return Response(body=pages.login_page())
 
     def _login(self, data: Mapping[str, str]) -> Response:
         try:
@@ -919,6 +911,12 @@ class Application:
         return Response.redirect(
             f"/design?{pages.cred(user, self._auth_token(user))}"
             f"&name={design.name}"
+        )
+
+    def _define_form(self, data: Mapping[str, str]) -> Response:
+        user = self._user(data)
+        return Response(
+            body=pages.define_model_page(user, auth=self._auth_token(user))
         )
 
     def _define_model(self, data: Mapping[str, str]) -> Response:
@@ -1274,7 +1272,7 @@ class Application:
     def uptime_seconds(self) -> float:
         return time.time() - self.started_at
 
-    def _metrics_exposition(self) -> Response:
+    def _metrics_exposition(self, data: Mapping[str, str]) -> Response:
         """``GET /metrics`` — Prometheus text format, curl-able."""
         self._uptime.set(self.uptime_seconds)
         obs_process.refresh_process_metrics(self.registry)
@@ -1632,7 +1630,7 @@ class Application:
             )
         )
 
-    def _status_page(self) -> Response:
+    def _status_page(self, data: Mapping[str, str]) -> Response:
         """``GET /status`` — the same registry, as an HTML dashboard."""
         self._uptime.set(self.uptime_seconds)
         snapshot = self.registry.snapshot()
@@ -1906,7 +1904,7 @@ class Application:
             }
         return payload
 
-    def _healthz(self) -> Response:
+    def _healthz(self, data: Mapping[str, str]) -> Response:
         """``GET /healthz`` — 200 for ok/degraded, 503 for failing.
 
         Degraded is deliberately 200: a server answering from mirrors
@@ -1937,7 +1935,7 @@ class Application:
         self.state_backend.flush()
         return counts
 
-    def _registry_page(self) -> Response:
+    def _registry_page(self, data: Mapping[str, str]) -> Response:
         catalog = self.models_registry.catalog()
         recent = (
             [report.to_payload() for report in self.model_resolver.recent()]
@@ -1955,7 +1953,7 @@ class Application:
             )
         )
 
-    def _api_registry_catalog(self) -> Response:
+    def _api_registry_catalog(self, data: Mapping[str, str]) -> Response:
         """``GET /api/registry/catalog.json`` — the subscribe entry point."""
         rows = [
             row for row in self.models_registry.catalog()
@@ -2068,6 +2066,9 @@ class Application:
                 return Response.json_text(library.to_json())
         raise WebError(f"no shared library named {wanted!r}")
 
+    def _api_ping(self, data: Mapping[str, str]) -> Response:
+        return Response.json({"server": self.server_name, "protocol": "powerplay/1"})
+
     def _api_library(self, data: Mapping[str, str]) -> Response:
         merged = Library(
             f"{self.server_name}_shared",
@@ -2150,3 +2151,9 @@ class Application:
                 raise
             entry = self.find_entry(user, name)
         return Response(body=pages.doc_page(entry))
+
+    def _tutorial(self, data: Mapping[str, str]) -> Response:
+        return Response(body=pages.tutorial_page())
+
+    def _help(self, data: Mapping[str, str]) -> Response:
+        return Response(body=pages.help_page())

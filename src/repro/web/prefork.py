@@ -48,11 +48,10 @@ from pathlib import Path
 from queue import Empty, Queue
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SessionError, StateError
+from ..errors import StateError
 from ..obs import get_logger
-from .app import Application, Response
-from .server import PowerPlayServer, _error_html, _Handler
-from .session import validate_username
+from .app import Application, Response, request_user
+from .server import PowerPlayServer, _error_response, _Handler
 
 _LOG = get_logger("web.prefork")
 
@@ -80,30 +79,6 @@ def shard_for(user: str, workers: int) -> int:
         user.encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") % workers
-
-
-def request_user(path: str, form=None) -> str:
-    """The (validated) user a request names, as the Application sees it.
-
-    Mirrors ``Application.handle``'s parsing exactly — query string
-    first, form fields override — so the shard decision and the
-    per-user lock downstream always name the same user.  Returns ""
-    for requests naming no (or an invalid) user; those are handled
-    wherever they land and fail validation there if relevant.
-    """
-    parsed = urllib.parse.urlsplit(path)
-    data = {
-        key: values[-1]
-        for key, values in urllib.parse.parse_qs(parsed.query).items()
-    }
-    data.update(form or {})
-    user = data.get("user", "")
-    if not user:
-        return ""
-    try:
-        return validate_username(user)
-    except SessionError:
-        return ""
 
 
 class ShardedHandler(_Handler):
@@ -179,14 +154,11 @@ class ShardedHandler(_Handler):
             self._httpd_log.info(
                 "forward_failed", owner=owner, error=str(exc)
             )
-            return Response(
-                status=503,
-                body=_error_html(
-                    503,
-                    "Shard unavailable",
-                    f"the worker owning this user (shard {owner}) did "
-                    "not answer; retry shortly",
-                ),
+            return _error_response(
+                503,
+                "Shard unavailable",
+                f"the worker owning this user (shard {owner}) did "
+                "not answer; retry shortly",
                 headers={"Retry-After": "1"},
             )
         finally:

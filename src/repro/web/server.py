@@ -23,10 +23,11 @@ import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..obs import get_logger
 from ..obs.propagate import REQUEST_HEADER
+from . import html
 from .app import Application, Response
 
 #: transport-level request-ID fallback — responses the application never
@@ -61,12 +62,16 @@ def host_allowed(client_ip: str, allowed: Optional[Sequence[str]]) -> bool:
     return False
 
 
-def _error_html(status: int, title: str, message: str) -> str:
-    """A small, traceback-free error page (transport-level failures)."""
-    return (
-        "<html><head><title>PowerPlay — error</title></head><body>"
-        f"<h1>{status} {title}</h1><p>{message}</p>"
-        '<p><a href="/">PowerPlay front page</a></p></body></html>'
+def _error_response(
+    status: int, title: str, message: str, headers: Optional[Dict[str, str]] = None
+) -> Response:
+    """A traceback-free error page for a transport-level failure."""
+    return Response(
+        status=status,
+        body=html.error_page(
+            f"{status} {title}", message, nav=(("/", "PowerPlay front page"),)
+        ),
+        headers=headers or {},
     )
 
 
@@ -115,13 +120,10 @@ class _Handler(BaseHTTPRequestHandler):
         if host_allowed(self.client_address[0], self.allowed_hosts):
             return True
         self._send(
-            Response(
-                status=403,
-                body=_error_html(
-                    403,
-                    "Forbidden",
-                    "This PowerPlay server is restricted to specific machines.",
-                ),
+            _error_response(
+                403,
+                "Forbidden",
+                "This PowerPlay server is restricted to specific machines.",
             )
         )
         return False
@@ -132,15 +134,12 @@ class _Handler(BaseHTTPRequestHandler):
                 method, self.path, form, headers=self.headers
             )
         except Exception:  # noqa: BLE001 - last-resort transport guard
-            return Response(
-                status=500,
-                body=_error_html(
-                    500,
-                    "Server error",
-                    "PowerPlay hit an internal error handling this "
-                    "request. The details have not been disclosed; "
-                    "please retry or start over from the front page.",
-                ),
+            return _error_response(
+                500,
+                "Server error",
+                "PowerPlay hit an internal error handling this "
+                "request. The details have not been disclosed; "
+                "please retry or start over from the front page.",
             )
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -154,37 +153,25 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(header)
         except ValueError:
-            return None, Response(
-                status=400,
-                body=_error_html(
-                    400, "Bad request",
-                    f"unparseable Content-Length header {header!r}",
-                ),
+            return None, _error_response(
+                400, "Bad request",
+                f"unparseable Content-Length header {header!r}",
             )
         if length < 0:
-            return None, Response(
-                status=400,
-                body=_error_html(
-                    400, "Bad request", "negative Content-Length"
-                ),
+            return None, _error_response(
+                400, "Bad request", "negative Content-Length"
             )
         if length > self.max_body_bytes:
-            return None, Response(
-                status=413,
-                body=_error_html(
-                    413, "Payload too large",
-                    f"request body of {length} bytes exceeds the "
-                    f"{self.max_body_bytes} byte limit",
-                ),
+            return None, _error_response(
+                413, "Payload too large",
+                f"request body of {length} bytes exceeds the "
+                f"{self.max_body_bytes} byte limit",
             )
         try:
             raw = self.rfile.read(length).decode("utf-8") if length else ""
         except UnicodeDecodeError:
-            return None, Response(
-                status=400,
-                body=_error_html(
-                    400, "Bad request", "request body is not valid UTF-8"
-                ),
+            return None, _error_response(
+                400, "Bad request", "request body is not valid UTF-8"
             )
         form = {
             key: values[-1]

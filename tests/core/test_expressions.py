@@ -1,6 +1,7 @@
 """Expression language: parsing, evaluation, analysis, properties."""
 
 import math
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, strategies as st
@@ -200,6 +201,24 @@ class TestEvaluation:
         assert c == pytest.approx(16 * 16 * 253e-15)
         # EQ 19 converter dissipation
         assert ev("P_load * (1 - eta) / eta", P_load=9.0, eta=0.9) == pytest.approx(1.0)
+
+    def test_env_is_never_sized_or_iterated(self):
+        # a scope-backed env is costly to size (it walks the scope
+        # chain), so evaluation must not truth-test it
+        class LookupOnly(Mapping):
+            def __getitem__(self, name):
+                return {"a": 6.0, "b": 7.0}[name]
+
+            def __contains__(self, name):
+                return name in ("a", "b")
+
+            def __len__(self):
+                raise AssertionError("env was sized")
+
+            def __iter__(self):
+                raise AssertionError("env was iterated")
+
+        assert evaluate(parse("a * b"), LookupOnly()) == 42.0
 
 
 class TestAnalysis:

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.web.prefork import request_user, shard_for
+from repro.web.app import request_user
+from repro.web.prefork import shard_for
 
 #: the username grammar UserStore accepts (session.validate_username)
 usernames = st.from_regex(r"[A-Za-z][A-Za-z0-9_.-]{0,31}", fullmatch=True)

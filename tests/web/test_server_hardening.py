@@ -48,6 +48,14 @@ class TestMalformedPosts:
         assert "Content-Length" in body
         assert "Traceback" not in body
 
+    def test_header_echoed_into_error_page_is_escaped(self, server):
+        status, body = _raw_post(
+            server, {"Content-Length": "<script>alert(1)</script>"}
+        )
+        assert status == 400
+        assert "&lt;script&gt;" in body
+        assert "<script>" not in body
+
     def test_negative_content_length_is_400(self, server):
         status, body = _raw_post(server, {"Content-Length": "-5"})
         assert status == 400
