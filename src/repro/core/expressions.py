@@ -599,12 +599,17 @@ class Expression:
     1.6e-14
     """
 
-    __slots__ = ("source", "ast", "_variables")
+    __slots__ = ("source", "ast", "names", "_variables")
 
     def __init__(self, source: str):
         self.source = source
         self.ast = parse(source)
-        self._variables = frozenset(variables(self.ast))
+        found: Set[str] = set()
+        _collect(self.ast, found)
+        #: every identifier, constants included: a scope value named
+        #: like a constant (``k``) shadows the constant
+        self.names = frozenset(found)
+        self._variables = self.names.difference(CONSTANTS)
 
     @property
     def variables(self) -> frozenset:

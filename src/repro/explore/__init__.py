@@ -4,10 +4,12 @@ The paper's methodology *is* exploration — "parameters such as
 bit-widths and supply voltages can be varied dynamically" — but a
 spreadsheet only varies one hand-edited cell at a time.  This package
 turns the one-shot what-if into **sweep jobs**: declarative parameter
-spaces (:mod:`repro.explore.space`), a worker-pool batch evaluator with
-row-level memoization (:mod:`repro.explore.engine`), crash-safe
-checkpointed job persistence (:mod:`repro.explore.jobs`), and Pareto /
-sensitivity analysis over the results (:mod:`repro.explore.results`).
+spaces (:mod:`repro.explore.space`), a worker-pool engine
+(:mod:`repro.explore.engine`) over a batch evaluator that recomputes
+only the rows a point's changes reach (:mod:`repro.explore.batcheval`),
+crash-safe checkpointed job persistence (:mod:`repro.explore.jobs`),
+and Pareto / sensitivity analysis over the results
+(:mod:`repro.explore.results`).
 
 The whole pipeline is deterministic: the same design and space yield
 bit-identical objective values and byte-identical exports, whether the

@@ -1,28 +1,50 @@
-"""Row-level memoized batch evaluation — many points, few recomputes.
+"""Dirty-cone batch evaluation — many points, few recomputes.
 
 :func:`repro.core.estimator.evaluate_power` rebuilds the full report
 tree on every call: every model expression re-walked, every scope name
 re-resolved, every breakdown re-summed.  Fine for one PLAY; wasteful
 for a 10k-point sweep where most rows' inputs did not change between
-neighbouring points (a ``VDD2`` step leaves every ``VDD1`` row's
-environment bit-identical).
+neighbouring points (a ``VDD2`` step leaves every ``VDD1`` row alone).
 
-:class:`BatchEvaluator` compiles a design once and then evaluates
-points by **read-set memoization**: the first evaluation of a row
-records exactly which environment names the row's models read (gets,
-containment probes, and misses); later points re-resolve just those
-names and reuse the row's objective values when every recorded read
-matches.  A model that inspects its environment in any non-replayable
-way (iteration, length) permanently opts its row out — correctness
-never depends on guessing.
+:class:`BatchEvaluator` compiles a design once and keeps, per row and
+per pass (power, area, delay), the row's last value and its **deps**:
+the names its models read when it was last computed (gets, ``in``
+probes and failed gets), closed over the formula parameters those
+names resolve to from the row's scope.  Each point compares its
+override values with the previous point's, and a row is recomputed
+only when
 
-The contract, relied on by the engine and enforced by the equivalence
-tests: for any design and override sequence, the objective values are
-**bit-identical** to serial :func:`evaluate_power` /
-:func:`evaluate_area` / :func:`evaluate_timing` calls under
-:func:`~repro.core.estimator.scope_overrides`.  Sums are performed in
-the same order over the same floats; memo hits return the exact float
-computed earlier, which a replay would recompute identically.
+* it has no deps yet (first point, new override key set, or the point
+  after a failure);
+* one of its models iterates or sizes its environment — such a row
+  never keeps deps and is recomputed at every point;
+* a changed target ``(scope T, name M)`` has ``M`` in its deps and
+  ``T`` in its scope chain; or
+* a power or area feed it consumes changed value.
+
+Every other row returns its stored float without touching its
+environment.  Deps are re-recorded on every recompute, because a
+conditional model (``mode > 0.5 ? a : b``) reads different names at
+different values.
+
+Deps are valid for one override **key set**: a dotted target that
+writes a float over a formula parameter (luminance's ``VDD = "VDD2"``)
+hides the formula's inputs from the recording, so a call with other
+keys drops every row's deps.  An exception during a point drops them
+too, since the rows it recomputed before failing saw that point's
+values.
+
+The contract: **overrides are the only thing that changes the design
+between calls.**  The engine gives each worker its own design replica
+and a serial job a fresh ``job.design()``; a caller that edits the
+design itself needs a new evaluator.  Under that contract, for any
+design and override sequence the objective values are
+**bit-identical** to :func:`~repro.core.estimator.evaluate_power` /
+:func:`~repro.core.estimator.evaluate_area` /
+:func:`~repro.core.estimator.evaluate_timing` with the same overrides
+applied: sums run in the same order over the same floats (sub-design
+totals are re-summed in row order every point), and a clean row's
+stored float is the one a recompute would produce again.
 
 Sweep targets may be dotted paths (``custom.luminance_chip.lut.bits``)
 resolved by :func:`resolve_target` into the owning row scope, so sweeps
@@ -31,15 +53,15 @@ reach row-local parameters that top-page overrides cannot shadow.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional, Set,
+                    Tuple)
 
 from ..core.design import Design, Instance, SubDesign
 from ..core.estimator import RowEnv
+from ..core.expressions import Expression
 from ..core.parameters import ParameterScope
-from ..errors import DesignError, ExploreError, ModelError, PowerPlayError
-
-#: read kinds recorded by the recorder / validated by the probe
-_GET, _HAS, _MISS = 0, 1, 2
+from ..errors import (DesignError, ExploreError, ModelError, ParameterError,
+                      PowerPlayError)
 
 BUILTIN_OBJECTIVES = ("power", "area", "delay")
 
@@ -92,36 +114,23 @@ def resolve_target(design: Design, target: str) -> Tuple[ParameterScope, str]:
 
 
 class _Recorder(Mapping[str, float]):
-    """Wraps an environment and records every read for later replay."""
+    """Wraps a row's environment and records the names its models read."""
 
-    __slots__ = ("_env", "reads", "_seen", "unstable")
+    __slots__ = ("_env", "names", "unstable")
 
     def __init__(self, env: Mapping[str, float]):
         self._env = env
-        self.reads: List[Tuple[str, int, Optional[float]]] = []
-        self._seen: Dict[Tuple[str, int], bool] = {}
+        self.names: Set[str] = set()
         self.unstable = False
 
-    def _note(self, name: str, kind: int, value: Optional[float]) -> None:
-        key = (name, kind)
-        if key not in self._seen:
-            self._seen[key] = True
-            self.reads.append((name, kind, value))
-
     def __getitem__(self, name: str) -> float:
-        try:
-            value = self._env[name]
-        except Exception:
-            self._note(name, _MISS, None)
-            raise
-        self._note(name, _GET, value)
-        return value
+        self.names.add(name)
+        return self._env[name]
 
     def __contains__(self, name: object) -> bool:
-        present = name in self._env
         if isinstance(name, str):
-            self._note(name, _HAS, bool(present))
-        return present
+            self.names.add(name)
+        return name in self._env
 
     def __iter__(self) -> Iterator[str]:
         self.unstable = True
@@ -132,48 +141,52 @@ class _Recorder(Mapping[str, float]):
         return len(self._env)
 
 
-class _Memo:
-    """One row's cached result for one objective kind."""
+def _closure(names: Set[str], scope: ParameterScope) -> Set[str]:
+    """``names`` closed over the formula parameters they resolve to
+    from ``scope``."""
+    deps = set(names)
+    todo = list(deps)
+    while todo:
+        try:
+            value = scope.raw(todo.pop())
+        except ParameterError:
+            continue
+        if isinstance(value, Expression):
+            fresh = value.names - deps
+            deps |= fresh
+            todo.extend(fresh)
+    return deps
 
-    __slots__ = ("reads", "result", "unstable")
+
+class _Cell:
+    """One row's last result in one pass, and what it was computed from."""
+
+    __slots__ = ("value", "deps", "extras")
 
     def __init__(self):
-        self.reads: Optional[List[Tuple[str, int, Optional[float]]]] = None
-        self.result: Optional[Tuple[float, ...]] = None
-        self.unstable = False
-
-    def matches(self, env: Mapping[str, float]) -> bool:
-        if self.unstable or self.reads is None:
-            return False
-        for name, kind, expect in self.reads:
-            if kind == _GET:
-                try:
-                    value = env[name]
-                except Exception:
-                    return False
-                if value != expect:
-                    return False
-            elif kind == _HAS:
-                if (name in env) != expect:
-                    return False
-            else:  # _MISS: the read raised last time; it must still raise
-                try:
-                    env[name]
-                except Exception:
-                    continue
-                return False
-        return True
+        self.value = None
+        #: names the result depends on; None = recompute at next point
+        self.deps: Optional[Set[str]] = None
+        #: the feed values (``P_load``, ``active_area``...) it saw
+        self.extras: Optional[Dict[str, float]] = None
 
 
 class _CompiledRow:
-    __slots__ = ("row", "power_memo", "area_memo", "timing_memo",
+    __slots__ = ("row", "chain", "power", "area", "timing",
                  "needs_area_param")
 
     def __init__(self, row: Instance):
         self.row = row
-        self.power_memo = _Memo()
-        self.area_memo = _Memo()
-        self.timing_memo = _Memo()
+        #: ids of the scopes a lookup from this row walks
+        chain = set()
+        scope: Optional[ParameterScope] = row.scope
+        while scope is not None:
+            chain.add(id(scope))
+            scope = scope.parent
+        self.chain = frozenset(chain)
+        self.power = _Cell()
+        self.area = _Cell()
+        self.timing = _Cell()
         #: does some sibling area-feed on this row? (computed at compile)
         self.needs_area_param = False
 
@@ -201,10 +214,84 @@ class _CompiledDesign:
             if isinstance(compiled, _CompiledRow):
                 compiled.needs_area_param = True
 
+    def cells(self) -> Iterator[_Cell]:
+        for compiled in self.rows.values():
+            if isinstance(compiled, _CompiledDesign):
+                yield from compiled.cells()
+            else:
+                yield compiled.power
+                yield compiled.area
+                yield compiled.timing
+
+
+def _feed_extras(
+    row: Instance, computed: Mapping[str, Tuple[float, float]]
+) -> Dict[str, float]:
+    """The feed entries of a row's power environment, summed in the
+    estimator's order."""
+    extras: Dict[str, float] = {}
+    if row.power_feeds:
+        load = 0.0
+        for feed in row.power_feeds:
+            try:
+                feed_power = computed[feed][0]
+            except KeyError:
+                raise DesignError(
+                    f"row {row.name!r} feeds on unevaluated row {feed!r}"
+                ) from None
+            extras[f"P.{feed}"] = feed_power
+            load += feed_power
+        extras["P_load"] = load
+    if row.area_feeds:
+        total_area = 0.0
+        for feed in row.area_feeds:
+            try:
+                feed_area = computed[feed][1]
+            except KeyError:
+                raise DesignError(
+                    f"row {row.name!r} area-feeds on unevaluated "
+                    f"row {feed!r}"
+                ) from None
+            extras[f"A.{feed}"] = feed_area
+            total_area += feed_area
+        extras["active_area"] = total_area
+    return extras
+
+
+def _power_of(compiled: _CompiledRow, env: Mapping[str, float]):
+    """(row watts, the row's ``_area`` report parameter or 0.0)."""
+    row = compiled.row
+    if row.measured_power is not None:
+        unit_power = row.measured_power
+    else:
+        try:
+            unit_power = row.models.power.power(env)
+        except ModelError as exc:
+            raise ModelError(f"row {row.name!r}: {exc}") from exc
+    area_param = 0.0
+    if compiled.needs_area_param and row.models.area is not None:
+        try:
+            area_param = row.models.area.area(env) * row.quantity
+        except ModelError:
+            area_param = 0.0
+    return unit_power * row.quantity, area_param
+
+
+def _area_of(compiled: _CompiledRow, env: Mapping[str, float]) -> float:
+    return compiled.row.models.area.area(env) * compiled.row.quantity
+
+
+def _delay_of(compiled: _CompiledRow, env: Mapping[str, float]) -> float:
+    return compiled.row.models.timing.delay(env)
+
 
 class BatchEvaluator:
     """Compile once, evaluate many points bit-identically to the
-    estimator (see module docstring for the memoization contract)."""
+    estimator, recomputing only the rows a point's changed overrides
+    reach (see the module docstring for the dirty rule and contract).
+
+    ``hits`` counts rows reused, ``misses`` rows recomputed.
+    """
 
     def __init__(self, design: Design, objectives: Tuple[str, ...] = ("power",)):
         for objective in objectives:
@@ -218,8 +305,15 @@ class BatchEvaluator:
         self.design = design
         self.objectives = tuple(objectives)
         self._compiled = _CompiledDesign(design)
+        self._cells = list(self._compiled.cells())
         #: target string -> (scope, name), resolved lazily on first use
         self._targets: Dict[str, Tuple[ParameterScope, str]] = {}
+        #: the override keys the cells' deps were recorded under
+        self._keys: Optional[Tuple[str, ...]] = None
+        #: target -> the value it had at the previous point
+        self._last: Dict[str, float] = {}
+        #: ``(id(scope), name)`` of each target this point changed
+        self._changed: List[Tuple[int, str]] = []
         self.hits = 0
         self.misses = 0
 
@@ -234,24 +328,39 @@ class BatchEvaluator:
 
     def evaluate(self, overrides: Mapping[str, float]) -> Dict[str, float]:
         """Objective values at one point; design state restored after."""
+        keys = tuple(overrides)
+        if keys != self._keys:
+            for cell in self._cells:
+                cell.deps = None
+            self._keys = keys
+            self._last = {}
+        changed: List[Tuple[int, str]] = []
         saved: List[Tuple[ParameterScope, str, bool, object]] = []
         try:
             for target, value in overrides.items():
                 scope, name = self._bind(target)
+                value = float(value)
+                if self._last.get(target) != value:
+                    changed.append((id(scope), name))
+                    self._last[target] = value
                 had = name in scope.local_names()
                 saved.append(
                     (scope, name, had, scope.raw(name) if had else None)
                 )
-                scope.set(name, float(value))
+                scope.set(name, value)
+            self._changed = changed
             result: Dict[str, float] = {}
             for objective in self.objectives:
                 if objective == "power":
-                    result["power"] = self._power(self._compiled)[0]
+                    result["power"] = self._power(self._compiled)
                 elif objective == "area":
                     result["area"] = self._area(self._compiled)
                 else:
                     result["delay"] = self._timing(self._compiled)[0]
             return result
+        except BaseException:
+            self._keys = None  # the next point recomputes every row
+            raise
         finally:
             for scope, name, had, old in reversed(saved):
                 if had:
@@ -264,80 +373,48 @@ class BatchEvaluator:
 
     # -- the three passes --------------------------------------------------
 
-    def _power(self, node: _CompiledDesign) -> Tuple[float, float]:
-        """(total watts, the report's ``_area`` stand-in: 0.0) for a
-        design node, mirroring ``_evaluate_design`` float-for-float."""
+    def _cached(
+        self,
+        compiled: _CompiledRow,
+        cell: _Cell,
+        compute: Callable[[_CompiledRow, Mapping[str, float]], object],
+        extras: Dict[str, float],
+    ):
+        """The row's value in one pass: stored if clean, else recomputed
+        with its deps re-recorded."""
+        deps = cell.deps
+        if deps is not None and extras == cell.extras:
+            chain = compiled.chain
+            for scope_id, name in self._changed:
+                if name in deps and scope_id in chain:
+                    break
+            else:
+                self.hits += 1
+                return cell.value
+        self.misses += 1
+        scope = compiled.row.scope
+        recorder = _Recorder(RowEnv(scope, extras))
+        cell.value = compute(compiled, recorder)
+        cell.deps = (
+            None if recorder.unstable else _closure(recorder.names, scope)
+        )
+        cell.extras = extras
+        return cell.value
+
+    def _power(self, node: _CompiledDesign) -> float:
+        """Total watts of a design node, mirroring ``_evaluate_design``
+        float-for-float (a sub-design's ``_area`` stand-in is 0.0)."""
         computed: Dict[str, Tuple[float, float]] = {}
         for name in node.order:
             compiled = node.rows[name]
             if isinstance(compiled, _CompiledDesign):
-                computed[name] = (self._power(compiled)[0], 0.0)
+                computed[name] = (self._power(compiled), 0.0)
             else:
-                computed[name] = self._power_row(compiled, computed)
-        total = sum(computed[name][0] for name in node.row_order)
-        return total, 0.0
-
-    def _power_row(
-        self,
-        compiled: _CompiledRow,
-        computed: Mapping[str, Tuple[float, float]],
-    ) -> Tuple[float, float]:
-        row = compiled.row
-        extras: Dict[str, float] = {}
-        if row.power_feeds:
-            load = 0.0
-            for feed in row.power_feeds:
-                try:
-                    feed_power = computed[feed][0]
-                except KeyError:
-                    raise DesignError(
-                        f"row {row.name!r} feeds on unevaluated row {feed!r}"
-                    ) from None
-                extras[f"P.{feed}"] = feed_power
-                load += feed_power
-            extras["P_load"] = load
-        if row.area_feeds:
-            total_area = 0.0
-            for feed in row.area_feeds:
-                try:
-                    feed_area = computed[feed][1]
-                except KeyError:
-                    raise DesignError(
-                        f"row {row.name!r} area-feeds on unevaluated "
-                        f"row {feed!r}"
-                    ) from None
-                extras[f"A.{feed}"] = feed_area
-                total_area += feed_area
-            extras["active_area"] = total_area
-        env = RowEnv(row.scope, extras)
-        memo = compiled.power_memo
-        if memo.matches(env):
-            self.hits += 1
-            unit_power, area_param = memo.result
-        else:
-            self.misses += 1
-            recorder = _Recorder(env)
-            if row.measured_power is not None:
-                unit_power = row.measured_power
-            else:
-                try:
-                    unit_power = row.models.power.power(recorder)
-                except ModelError as exc:
-                    raise ModelError(f"row {row.name!r}: {exc}") from exc
-            area_param = 0.0
-            if compiled.needs_area_param and row.models.area is not None:
-                try:
-                    area_param = row.models.area.area(recorder) * row.quantity
-                except ModelError:
-                    area_param = 0.0
-            if recorder.unstable:
-                memo.unstable = True
-                memo.reads = None
-                memo.result = None
-            else:
-                memo.reads = recorder.reads
-                memo.result = (unit_power, area_param)
-        return unit_power * row.quantity, area_param
+                computed[name] = self._cached(
+                    compiled, compiled.power, _power_of,
+                    _feed_extras(compiled.row, computed),
+                )
+        return sum(computed[name][0] for name in node.row_order)
 
     def _area(self, node: _CompiledDesign) -> float:
         """Total active area, mirroring ``_evaluate_area``."""
@@ -346,26 +423,12 @@ class BatchEvaluator:
             compiled = node.rows[name]
             if isinstance(compiled, _CompiledDesign):
                 children.append(self._area(compiled))
-                continue
-            row = compiled.row
-            if row.models.area is None:
+            elif compiled.row.models.area is None:
                 children.append(0.0)
-                continue
-            env = RowEnv(row.scope, {})
-            memo = compiled.area_memo
-            if memo.matches(env):
-                self.hits += 1
-                children.append(memo.result[0])
-                continue
-            self.misses += 1
-            recorder = _Recorder(env)
-            value = row.models.area.area(recorder) * row.quantity
-            if recorder.unstable:
-                memo.unstable = True
             else:
-                memo.reads = recorder.reads
-                memo.result = (value,)
-            children.append(value)
+                children.append(
+                    self._cached(compiled, compiled.area, _area_of, {})
+                )
         return sum(children)
 
     def _timing(self, node: _CompiledDesign) -> Tuple[float, bool]:
@@ -375,27 +438,13 @@ class BatchEvaluator:
             compiled = node.rows[name]
             if isinstance(compiled, _CompiledDesign):
                 children.append(self._timing(compiled))
-                continue
-            row = compiled.row
-            model = row.models.timing
-            if model is None:
+            elif compiled.row.models.timing is None:
                 children.append((0.0, False))
-                continue
-            env = RowEnv(row.scope, {})
-            memo = compiled.timing_memo
-            if memo.matches(env):
-                self.hits += 1
-                children.append((memo.result[0], True))
-                continue
-            self.misses += 1
-            recorder = _Recorder(env)
-            value = model.delay(recorder)
-            if recorder.unstable:
-                memo.unstable = True
             else:
-                memo.reads = recorder.reads
-                memo.result = (value,)
-            children.append((value, True))
+                children.append((
+                    self._cached(compiled, compiled.timing, _delay_of, {}),
+                    True,
+                ))
         modeled = [delay for delay, is_modeled in children if is_modeled]
         critical = max(modeled) if modeled else 0.0
         return critical, bool(modeled)

@@ -17,10 +17,10 @@ killed-then-resumed runs all export byte-identical results.
 
 ``mode``:
 
-* ``serial`` — one evaluator, in-process; the memoization baseline.
+* ``serial`` — one evaluator, in-process; the row-reuse baseline.
 * ``thread`` — a thread pool; each thread lazily builds its own
   design replica + evaluator.  Best on one core too: the evaluator's
-  memo hit rate does the work, threads just overlap checkpoint I/O.
+  row reuse does the work, threads just overlap checkpoint I/O.
 * ``process`` — forked workers for true multi-core scaling.
 
 Cancellation (``should_stop``) is polled between chunks: finished
@@ -154,28 +154,19 @@ def _point_row(
     return row
 
 
-def _evaluate_range(
+def _evaluate_chunk(
     evaluator: BatchEvaluator,
     space: ParameterSpace,
     derived: Sequence[DerivedObjective],
-    start: int,
-    stop: int,
-) -> List[dict]:
-    return [
-        _point_row(evaluator, space, derived, index)
-        for index in range(start, stop)
-    ]
-
-
-def _evaluate_indices(
-    evaluator: BatchEvaluator,
-    space: ParameterSpace,
-    derived: Sequence[DerivedObjective],
-    indices: Sequence[int],
-) -> List[dict]:
-    return [
-        _point_row(evaluator, space, derived, index) for index in indices
-    ]
+    points: Sequence[int],
+) -> Tuple[List[dict], float, int, int]:
+    """One chunk's rows, its seconds and the evaluator's hit and miss
+    counts over it."""
+    hits0, misses0 = evaluator.hits, evaluator.misses
+    began = time.perf_counter()
+    rows = [_point_row(evaluator, space, derived, index) for index in points]
+    return (rows, time.perf_counter() - began,
+            evaluator.hits - hits0, evaluator.misses - misses0)
 
 
 # -- process-mode workers ---------------------------------------------------
@@ -195,24 +186,15 @@ def _proc_init(design_payload, space_payload, objectives, derived_payloads):
     _PROC_STATE = (BatchEvaluator(design, tuple(objectives)), space, derived)
 
 
-def _proc_chunk(start: int, stop: int):
+def _proc_chunk(chunk: tuple, points: Sequence[int]):
     evaluator, space, derived = _PROC_STATE
-    hits0, misses0 = evaluator.hits, evaluator.misses
-    began = time.perf_counter()
-    rows = _evaluate_range(evaluator, space, derived, start, stop)
-    seconds = time.perf_counter() - began
-    return (start, stop, rows, seconds,
-            evaluator.hits - hits0, evaluator.misses - misses0)
+    return (chunk,) + _evaluate_chunk(evaluator, space, derived, points)
 
 
-def _proc_index_chunk(ordinal: int, indices: Sequence[int]):
-    evaluator, space, derived = _PROC_STATE
-    hits0, misses0 = evaluator.hits, evaluator.misses
-    began = time.perf_counter()
-    rows = _evaluate_indices(evaluator, space, derived, indices)
-    seconds = time.perf_counter() - began
-    return (ordinal, indices, rows, seconds,
-            evaluator.hits - hits0, evaluator.misses - misses0)
+#: the worker entry point under its second name: profilers that dump a
+#: worker's totals after each chunk (``perfbench/tracing.py``) wrap
+#: both names
+_proc_index_chunk = _proc_chunk
 
 
 # -- the engine -------------------------------------------------------------
@@ -224,8 +206,6 @@ class _ThreadWorkers:
         self._payload = design_to_payload(design)
         self._objectives = objectives
         self._local = threading.local()
-        self._all: List[BatchEvaluator] = []
-        self._lock = threading.Lock()
 
     def evaluator(self) -> BatchEvaluator:
         evaluator = getattr(self._local, "evaluator", None)
@@ -234,16 +214,7 @@ class _ThreadWorkers:
                 design_from_payload(self._payload), self._objectives
             )
             self._local.evaluator = evaluator
-            with self._lock:
-                self._all.append(evaluator)
         return evaluator
-
-    def stats(self) -> Tuple[int, int]:
-        with self._lock:
-            return (
-                sum(e.hits for e in self._all),
-                sum(e.misses for e in self._all),
-            )
 
 
 def _observe_chunk(record: Mapping) -> None:
@@ -254,13 +225,107 @@ def _observe_chunk(record: Mapping) -> None:
     if failed:
         _metric_points().inc(failed, status="error")
     _metric_chunk_seconds().observe(record["seconds"])
+    where = (
+        {"range": f"{record['start']}:{record['stop']}"}
+        if "start" in record else {"ordinal": record["ordinal"]}
+    )
     annotate(
         "chunk",
-        range=f"{record['start']}:{record['stop']}",
+        **where,
         points=len(rows),
         errors=failed,
         seconds=round(record["seconds"], 6),
     )
+
+
+def _drive(
+    design: Design,
+    space: ParameterSpace,
+    chunks: Sequence[tuple],
+    points_of: Callable[[tuple], Sequence[int]],
+    header: Callable[[tuple], dict],
+    objectives: Sequence[str],
+    derived: Sequence[DerivedObjective],
+    workers: int,
+    mode: str,
+    should_stop: Optional[Callable[[], bool]],
+    on_chunk: Optional[Callable[..., None]],
+) -> Tuple[Dict[int, dict], EngineReport]:
+    """Evaluate ``chunks`` serially, on threads or on forked workers.
+
+    A chunk is a pair whose first member keys its record;
+    ``points_of(chunk)`` lists its point indices and ``header(chunk)``
+    starts its record, to which ``rows`` and ``seconds`` are added.
+    ``on_chunk(*chunk, rows, seconds)`` fires as each chunk finishes.
+    """
+    objectives = tuple(objectives)
+    derived = tuple(derived)
+    workers = max(1, int(workers))
+    records: Dict[int, dict] = {}
+    report = EngineReport(mode=mode, workers=workers)
+    began = time.perf_counter()
+
+    def _record(chunk, rows, seconds, hits, misses):
+        record = header(chunk)
+        record["rows"] = rows
+        record["seconds"] = seconds
+        records[int(chunk[0])] = record
+        report.points += len(rows)
+        report.errors += sum(1 for row in rows if row["error"])
+        report.chunks += 1
+        report.hits += hits
+        report.misses += misses
+        _observe_chunk(record)
+        if on_chunk is not None:
+            on_chunk(*chunk, rows, seconds)
+
+    if mode == "serial" or (workers == 1 and mode == "thread"):
+        evaluator = BatchEvaluator(design, objectives)
+        for chunk in chunks:
+            if should_stop is not None and should_stop():
+                break
+            with span("explore.chunk"):
+                _record(chunk, *_evaluate_chunk(
+                    evaluator, space, derived, points_of(chunk)))
+    elif mode == "thread":
+        pool_workers = _ThreadWorkers(design, objectives)
+
+        def _thread_chunk(chunk, points):
+            return (chunk,) + _evaluate_chunk(
+                pool_workers.evaluator(), space, derived, points)
+
+        with concurrent.futures.ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="explore"
+        ) as pool:
+            _pump(pool, _thread_chunk, chunks, points_of, workers,
+                  should_stop, _record)
+    elif mode == "process":
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - platforms without fork
+            context = multiprocessing.get_context()
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=context,
+            initializer=_proc_init,
+            initargs=(
+                design_to_payload(design),
+                space.to_payload(),
+                objectives,
+                [d.to_payload() for d in derived],
+            ),
+        ) as pool:
+            _pump(pool, _proc_chunk, chunks, points_of, workers,
+                  should_stop, _record)
+    else:
+        raise ExploreError(
+            f"unknown engine mode {mode!r}; choose serial, thread or process"
+        )
+
+    report.seconds = time.perf_counter() - began
+    _metric_memo().inc(report.hits, kind="hit")
+    _metric_memo().inc(report.misses, kind="miss")
+    return records, report
 
 
 def run_chunks(
@@ -282,85 +347,15 @@ def run_chunks(
     between chunks; unstarted chunks stay unevaluated, which is exactly
     the state :meth:`SweepJob.pending_chunks` resumes from.
     """
-    objectives = tuple(objectives)
-    derived = tuple(derived)
-    workers = max(1, int(workers))
-    records: Dict[int, dict] = {}
-    report = EngineReport(mode=mode, workers=workers)
-    began = time.perf_counter()
-
-    def _record(start, stop, rows, seconds, hits, misses):
-        record = {
-            "start": start, "stop": stop, "rows": rows, "seconds": seconds,
-        }
-        records[start] = record
-        report.points += len(rows)
-        report.errors += sum(1 for row in rows if row["error"])
-        report.chunks += 1
-        report.hits += hits
-        report.misses += misses
-        _observe_chunk(record)
-        if on_chunk is not None:
-            on_chunk(start, stop, rows, seconds)
-
-    if mode == "serial" or (workers == 1 and mode == "thread"):
-        evaluator = BatchEvaluator(design, objectives)
-        for start, stop in chunks:
-            if should_stop is not None and should_stop():
-                break
-            with span("explore.chunk"):
-                hits0, misses0 = evaluator.hits, evaluator.misses
-                chunk_began = time.perf_counter()
-                rows = _evaluate_range(evaluator, space, derived, start, stop)
-                _record(
-                    start, stop, rows, time.perf_counter() - chunk_began,
-                    evaluator.hits - hits0, evaluator.misses - misses0,
-                )
-    elif mode == "thread":
-        pool_workers = _ThreadWorkers(design, objectives)
-
-        def _thread_chunk(start: int, stop: int):
-            evaluator = pool_workers.evaluator()
-            hits0, misses0 = evaluator.hits, evaluator.misses
-            chunk_began = time.perf_counter()
-            rows = _evaluate_range(evaluator, space, derived, start, stop)
-            return (start, stop, rows, time.perf_counter() - chunk_began,
-                    evaluator.hits - hits0, evaluator.misses - misses0)
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="explore"
-        ) as pool:
-            _pump(pool, _thread_chunk, chunks, workers, should_stop,
-                  _record, ())
-    elif mode == "process":
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platforms without fork
-            context = multiprocessing.get_context()
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_proc_init,
-            initargs=(
-                design_to_payload(design),
-                space.to_payload(),
-                objectives,
-                [d.to_payload() for d in derived],
-            ),
-        ) as pool:
-            _pump(pool, _proc_chunk, chunks, workers, should_stop,
-                  _record, ())
-    else:
-        raise ExploreError(
-            f"unknown engine mode {mode!r}; choose serial, thread or process"
-        )
-
-    report.seconds = time.perf_counter() - began
-    _metric_memo().inc(report.hits, kind="hit")
-    _metric_memo().inc(report.misses, kind="miss")
+    records, report = _drive(
+        design, space, chunks,
+        lambda chunk: range(chunk[0], chunk[1]),
+        lambda chunk: {"start": chunk[0], "stop": chunk[1]},
+        objectives, derived, workers, mode, should_stop, on_chunk,
+    )
     _LOG.info(
-        "run", mode=mode, workers=workers, chunks=report.chunks,
-        points=report.points, errors=report.errors,
+        "run", mode=report.mode, workers=report.workers,
+        chunks=report.chunks, points=report.points, errors=report.errors,
         hits=report.hits, misses=report.misses,
         seconds=round(report.seconds, 4),
     )
@@ -386,95 +381,17 @@ def run_index_chunks(
     checkpoints through ``on_chunk(ordinal, indices, rows, seconds)``
     exactly like :func:`run_chunks` does for contiguous ranges, with
     the same serial/thread/process modes and cancellation contract.
+    Records are ``{"ordinal", "indices", "rows", "seconds"}``.
     """
-    objectives = tuple(objectives)
-    derived = tuple(derived)
-    workers = max(1, int(workers))
-    records: Dict[int, dict] = {}
-    report = EngineReport(mode=mode, workers=workers)
-    began = time.perf_counter()
-
-    def _record(ordinal, indices, rows, seconds, hits, misses):
-        record = {
-            "ordinal": int(ordinal), "indices": list(indices),
-            "rows": rows, "seconds": seconds,
-        }
-        records[int(ordinal)] = record
-        report.points += len(rows)
-        report.errors += sum(1 for row in rows if row["error"])
-        report.chunks += 1
-        report.hits += hits
-        report.misses += misses
-        failed = sum(1 for row in rows if row["error"])
-        if len(rows) - failed:
-            _metric_points().inc(len(rows) - failed, status="ok")
-        if failed:
-            _metric_points().inc(failed, status="error")
-        _metric_chunk_seconds().observe(seconds)
-        if on_chunk is not None:
-            on_chunk(ordinal, indices, rows, seconds)
-
-    if mode == "serial" or (workers == 1 and mode == "thread"):
-        evaluator = BatchEvaluator(design, objectives)
-        for ordinal, indices in index_chunks:
-            if should_stop is not None and should_stop():
-                break
-            with span("explore.chunk"):
-                hits0, misses0 = evaluator.hits, evaluator.misses
-                chunk_began = time.perf_counter()
-                rows = _evaluate_indices(evaluator, space, derived, indices)
-                _record(
-                    ordinal, indices, rows,
-                    time.perf_counter() - chunk_began,
-                    evaluator.hits - hits0, evaluator.misses - misses0,
-                )
-    elif mode == "thread":
-        pool_workers = _ThreadWorkers(design, objectives)
-
-        def _thread_chunk(ordinal, indices):
-            evaluator = pool_workers.evaluator()
-            hits0, misses0 = evaluator.hits, evaluator.misses
-            chunk_began = time.perf_counter()
-            rows = _evaluate_indices(evaluator, space, derived, indices)
-            return (ordinal, indices, rows,
-                    time.perf_counter() - chunk_began,
-                    evaluator.hits - hits0, evaluator.misses - misses0)
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="explore"
-        ) as pool:
-            _pump(pool, _thread_chunk, index_chunks, workers, should_stop,
-                  _record, ())
-    elif mode == "process":
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platforms without fork
-            context = multiprocessing.get_context()
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_proc_init,
-            initargs=(
-                design_to_payload(design),
-                space.to_payload(),
-                objectives,
-                [d.to_payload() for d in derived],
-            ),
-        ) as pool:
-            _pump(pool, _proc_index_chunk, index_chunks, workers,
-                  should_stop, _record, ())
-    else:
-        raise ExploreError(
-            f"unknown engine mode {mode!r}; choose serial, thread or process"
-        )
-
-    report.seconds = time.perf_counter() - began
-    _metric_memo().inc(report.hits, kind="hit")
-    _metric_memo().inc(report.misses, kind="miss")
-    return records, report
+    return _drive(
+        design, space, index_chunks,
+        lambda chunk: chunk[1],
+        lambda chunk: {"ordinal": int(chunk[0]), "indices": list(chunk[1])},
+        objectives, derived, workers, mode, should_stop, on_chunk,
+    )
 
 
-def _pump(pool, chunk_fn, chunks, workers, should_stop, record, extra_args):
+def _pump(pool, chunk_fn, chunks, points_of, workers, should_stop, record):
     """Feed chunks to a pool keeping at most ``workers`` in flight.
 
     Bounded submission keeps memory flat on huge sweeps and makes
@@ -487,9 +404,9 @@ def _pump(pool, chunk_fn, chunks, workers, should_stop, record, extra_args):
     while position < len(queue) or pending:
         while (position < len(queue) and len(pending) < workers
                and not (should_stop is not None and should_stop())):
-            start, stop = queue[position]
+            chunk = queue[position]
             position += 1
-            pending[pool.submit(chunk_fn, start, stop, *extra_args)] = start
+            pending[pool.submit(chunk_fn, chunk, points_of(chunk))] = chunk
         if should_stop is not None and should_stop():
             position = len(queue)
         if not pending:

@@ -161,8 +161,9 @@ class SweepJob:
         #: (phase or None, chunk key) -> (chunk, its encoded text); see
         #: :meth:`to_json`
         self._fragments: Dict[tuple, tuple] = {}
-        #: serializes state transitions and checkpoint writes for this
-        #: job across the web runner thread and CLI resume
+        #: serializes state transitions, checkpoint writes and every read
+        #: of ``chunks``/``phases`` across the web runner thread, status
+        #: pages, pollers and CLI resume
         self.lock = threading.RLock()
         self._store: Optional["JobStore"] = None
 
@@ -184,11 +185,12 @@ class SweepJob:
     @property
     def done_points(self) -> int:
         """Exactly-evaluated points so far (phase rows included)."""
-        done = sum(len(chunk["rows"]) for chunk in self.chunks.values())
-        for phase in self.phases.values():
-            for chunk in phase.get("chunks", {}).values():
-                done += len(chunk["rows"])
-        return done
+        with self.lock:
+            done = sum(len(chunk["rows"]) for chunk in self.chunks.values())
+            for phase in self.phases.values():
+                for chunk in phase.get("chunks", {}).values():
+                    done += len(chunk["rows"])
+            return done
 
     @property
     def objective_names(self) -> List[str]:
@@ -197,10 +199,12 @@ class SweepJob:
 
     def pending_chunks(self) -> List[Tuple[int, int]]:
         """The ``[start, stop)`` ranges not yet checkpointed."""
+        with self.lock:
+            done = set(self.chunks)
         return [
             (start, stop)
             for start, stop in self.space.chunks(self.chunk_size)
-            if start not in self.chunks
+            if start not in done
         ]
 
     def result_rows(self) -> List[dict]:
@@ -213,26 +217,28 @@ class SweepJob:
             from ..surrogate.runner import surrogate_result_rows
 
             return surrogate_result_rows(self)
-        if self.pending_chunks():
-            raise JobError(
-                f"job {self.job_id!r} is incomplete: "
-                f"{self.done_points}/{self.total_points} points"
-            )
-        rows: List[dict] = []
-        for start in sorted(self.chunks):
-            rows.extend(self.chunks[start]["rows"])
-        return rows
+        with self.lock:
+            if self.pending_chunks():
+                raise JobError(
+                    f"job {self.job_id!r} is incomplete: "
+                    f"{self.done_points}/{self.total_points} points"
+                )
+            rows: List[dict] = []
+            for start in sorted(self.chunks):
+                rows.extend(self.chunks[start]["rows"])
+            return rows
 
     # -- surrogate phases --------------------------------------------------
 
     def phase_chunks(self, phase: str) -> Dict[int, dict]:
         """Checkpointed chunks of one surrogate phase, by ordinal."""
-        return {
-            int(ordinal): chunk
-            for ordinal, chunk in self.phases.get(phase, {}).get(
-                "chunks", {}
-            ).items()
-        }
+        with self.lock:
+            return {
+                int(ordinal): chunk
+                for ordinal, chunk in self.phases.get(phase, {}).get(
+                    "chunks", {}
+                ).items()
+            }
 
     def phase_rows(self, phase: str) -> Dict[int, dict]:
         """Point index -> exact result row for one surrogate phase."""
@@ -471,17 +477,18 @@ class SweepJob:
 
     def summary(self) -> dict:
         """One row for job listings (CLI ``repro jobs``, ``/status``)."""
-        return {
-            "job_id": self.job_id,
-            "owner": self.owner,
-            "design": self.design_name,
-            "state": self.state,
-            "points": self.total_points,
-            "done": self.done_points,
-            "objectives": ",".join(self.objective_names),
-            "surrogate": self.surrogate is not None,
-            "error": self.error,
-        }
+        with self.lock:
+            return {
+                "job_id": self.job_id,
+                "owner": self.owner,
+                "design": self.design_name,
+                "state": self.state,
+                "points": self.total_points,
+                "done": self.done_points,
+                "objectives": ",".join(self.objective_names),
+                "surrogate": self.surrogate is not None,
+                "error": self.error,
+            }
 
 
 class JobStore:
@@ -519,7 +526,9 @@ class JobStore:
         self.worker_index = worker_index
         self.worker_count = max(1, int(worker_count))
         self._jobs: Dict[str, SweepJob] = {}
-        self._lock = threading.Lock()
+        #: reentrant: :meth:`create` allocates ids (:meth:`job_ids`)
+        #: while holding it
+        self._lock = threading.RLock()
         #: ``[(job_id, quarantine location, reason), ...]``
         self.quarantined: List[tuple] = []
 
@@ -530,7 +539,8 @@ class JobStore:
             for key in self.backend.keys(self.NAMESPACE)
             if _JOB_ID_RE.match(key)
         }
-        ids.update(self._jobs)
+        with self._lock:
+            ids.update(self._jobs)
         return sorted(ids)
 
     def _next_id(self) -> str:

@@ -227,6 +227,8 @@ class TestAnalysis:
 
     def test_constants_excluded(self):
         assert variables(parse("pi * r ^ 2")) == {"r"}
+        # names keeps them: a scope value named pi shadows the constant
+        assert Expression("pi * r ^ 2").names == {"pi", "r"}
 
     def test_expression_class(self):
         expression = Expression("bitwidth * c0")

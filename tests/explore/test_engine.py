@@ -219,6 +219,17 @@ class TestIndexChunks:
         assert sorted(seen) == [(0, (0, 3, 7), 3), (1, (1, 11), 2),
                                 (2, (5,), 1)]
 
+    def test_each_chunk_is_annotated(self):
+        from repro import obs
+
+        with obs.overridden(enabled=True), obs.span("test") as root:
+            self.records()
+        chunks = [node for node in root.walk() if node.name == "chunk"]
+        assert sorted(node.attributes["ordinal"] for node in chunks) == [
+            0, 1, 2]
+        assert sorted(node.attributes["points"] for node in chunks) == [
+            1, 2, 3]
+
     def test_should_stop_halts_between_chunks(self):
         from repro.explore.engine import run_index_chunks
 

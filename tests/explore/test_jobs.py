@@ -1,6 +1,8 @@
 """Sweep jobs: atomic checkpoints, resume, quarantine, lifecycle."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -9,7 +11,13 @@ from repro.core.expressions import compile_expression as E
 from repro.core.model import CapacitiveTerm, TemplatePowerModel
 from repro.core.parameters import Parameter
 from repro.errors import JobError
-from repro.explore import Axis, JobStore, ParameterSpace, validate_job_id
+from repro.explore import (
+    Axis,
+    JobStore,
+    ParameterSpace,
+    SweepJob,
+    validate_job_id,
+)
 from repro.explore.engine import run_job
 
 ADDER = TemplatePowerModel(
@@ -161,3 +169,43 @@ class TestLifecycle:
         run_job(job, should_stop=stop_after_two)
         assert job.state == "cancelled"
         assert 0 < job.done_points < job.total_points
+
+
+class TestConcurrentReaders:
+    def test_status_reads_survive_concurrent_checkpoints(self):
+        # record_chunk inserts under job.lock; the /status page and job
+        # pollers read from other threads, and a reader iterating the
+        # chunk map outside the lock raised "dictionary changed size
+        # during iteration"
+        points = 20_000
+        space = ParameterSpace([
+            Axis("VDD", tuple(1.0 + 1e-5 * i for i in range(points)))
+        ])
+        job = SweepJob("job-0001", "me", make_design(), space, chunk_size=1)
+        errors = []
+        stop = threading.Event()
+
+        def read():
+            try:
+                while not stop.is_set():
+                    job.summary()
+                    job.phase_chunks("train")
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader.start()
+            for start in range(points):
+                row = {"index": start, "error": "", "objectives": {}}
+                job.record_chunk(start, start + 1, [row], 0.0)
+        finally:
+            stop.set()
+            reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert errors == []
+        assert job.summary()["done"] == points
+        assert job.pending_chunks() == []

@@ -25,8 +25,13 @@ from repro.obs.propagate import (
 )
 from repro.obs.trace import Span
 
-VALID_TRACE = "0" * 31 + "7"
+# not of the form the local tracer mints (a zero-padded counter), so a
+# locally started trace can never equal it whatever ran before
+VALID_TRACE = "4bf92f3577b34da6a3ce929d0e0e4736"
 VALID_HEADER = f"00-{VALID_TRACE}-00ab"
+# well-formed but counter-shaped: the parser must not care which form a
+# trace id takes, only that it is 32 lowercase hex digits
+COUNTER_TRACE = "0" * 31 + "7"
 
 
 @pytest.fixture
@@ -53,11 +58,12 @@ class TestParseTraceHeader:
         42,
         "garbage",
         "00-short-00ab",                        # trace id not 32 chars
-        f"01-{VALID_TRACE}-00ab",               # unknown version
-        f"00-{VALID_TRACE.upper()}-00AB",       # uppercase hex rejected
-        f"00-{VALID_TRACE}-",                   # empty span id
-        f"00-{VALID_TRACE}-00ab-extra",         # too many fields
-        f"00-{VALID_TRACE}-0123456789abcdef0",  # span id > 16 chars
+        f"01-{COUNTER_TRACE}-00ab",             # unknown version
+        f"00-{COUNTER_TRACE}-00AB",             # uppercase span id rejected
+        f"00-{VALID_TRACE.upper()}-00ab",       # uppercase trace id rejected
+        f"00-{COUNTER_TRACE}-",                 # empty span id
+        f"00-{COUNTER_TRACE}-00ab-extra",       # too many fields
+        f"00-{COUNTER_TRACE}-0123456789abcdef0",  # span id > 16 chars
         f"00-{'g' * 32}-00ab",                  # non-hex trace id
     ])
     def test_malformed_headers_ignored(self, bad):
