@@ -93,10 +93,15 @@ def test_bench_four_worker_scaleout(tmp_path):
         f"{len(result.results)} ops over HTTP in "
         f"{result.wall_seconds:.2f} s -> {result.throughput:.0f} ops/s"
     )
-    print(
-        f"speedup vs single worker: {speedup:.2f}x "
-        f"(gate {gate:g}x on {cpus} CPU(s))"
-    )
+    print(f"speedup vs single worker: {speedup:.2f}x")
+    if cpus >= 4:
+        print(f"scale-out gate: >= {MIN_SPEEDUP:g}x on {cpus} CPU(s)")
+    else:
+        print(
+            f"scale-out gate NOT ARMED: the >= {MIN_SPEEDUP:g}x bound "
+            f"needs >= 4 CPUs and this machine has {cpus}; only the "
+            f"no-collapse bound (>= {MIN_SPEEDUP_SMALL:g}x) is checked"
+        )
     RESULTS["four_worker_throughput_ops"] = result.throughput
     RESULTS["four_worker_wall_seconds"] = result.wall_seconds
     RESULTS["speedup_4_workers"] = speedup

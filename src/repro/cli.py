@@ -737,7 +737,7 @@ def _serve_multiworker(args: argparse.Namespace, state: Path) -> int:
     front.install_signal_handlers()
     print(f"PowerPlay serving at {front.base_url} "
           f"({args.workers} workers, {args.backend} backend, "
-          f"{front.mode} mode, state in {state})")
+          f"state in {state})")
     print("worker /metrics for fleet scraping: "
           + ", ".join(url for _, url in front.internal_peers()))
     print("Ctrl-C to stop.")
@@ -763,8 +763,6 @@ def cmd_serve_worker(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         server_name=args.name,
-        mode=args.mode,
-        control_fd=args.control_fd,
     )
 
 
@@ -1107,8 +1105,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(default power)",
     )
     sweeper.add_argument("--workers", type=int, default=1,
-                         help="worker count for thread/process modes")
-    sweeper.add_argument("--mode", choices=["serial", "thread", "process"],
+                         help="worker processes for process mode")
+    sweeper.add_argument("--mode", choices=["serial", "process"],
                          default="serial", help="engine mode (default serial)")
     sweeper.add_argument("--chunk-size", type=int, default=64,
                          help="points per chunk / checkpoint granule")
@@ -1315,9 +1313,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--workers", type=int, required=True)
     worker.add_argument("--backend", default="file")
     worker.add_argument("--name", default="powerplay")
-    worker.add_argument("--mode", default="reuseport",
-                        choices=("reuseport", "fdpass"))
-    worker.add_argument("--control-fd", type=int, default=None)
     worker.set_defaults(func=cmd_serve_worker)
 
     fleet = sub.add_parser(

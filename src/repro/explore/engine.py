@@ -5,23 +5,23 @@ Execution model
 A sweep is the parameter space sharded into ``[start, stop)`` chunks
 (:meth:`ParameterSpace.chunks`).  Chunks are independent: each is a
 pure function of (design payload, space payload, chunk range), so they
-can run serially, on a thread pool, or on forked worker processes and
-the assembled result is identical — rows are keyed by point index, not
+can run serially or on forked worker processes and the assembled
+result is identical — rows are keyed by point index, not
 by completion order, and every worker evaluates with its **own** design
 replica (scope mutation during evaluation is not shareable).
 
 Determinism is the load-bearing property: objective values are
 bit-identical to serial :func:`repro.core.estimator.evaluate_power`
-calls (see :mod:`repro.explore.batcheval`), so serial, 8-worker, and
-killed-then-resumed runs all export byte-identical results.
+calls (see :mod:`repro.explore.batcheval`), so serial, multi-worker,
+and killed-then-resumed runs all export byte-identical results.
 
 ``mode``:
 
 * ``serial`` — one evaluator, in-process; the row-reuse baseline.
-* ``thread`` — a thread pool; each thread lazily builds its own
-  design replica + evaluator.  Best on one core too: the evaluator's
-  row reuse does the work, threads just overlap checkpoint I/O.
-* ``process`` — forked workers for true multi-core scaling.
+* ``process`` — forked workers, each with its own design replica and
+  evaluator, for multi-core scaling.  With ``workers == 1`` it runs
+  in-process exactly like ``serial``: one worker gains nothing from a
+  fork.
 
 Cancellation (``should_stop``) is polled between chunks: finished
 chunks are already checkpointed via ``on_chunk``, in-flight chunks
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -199,24 +198,6 @@ _proc_index_chunk = _proc_chunk
 
 # -- the engine -------------------------------------------------------------
 
-class _ThreadWorkers:
-    """Lazily builds one design replica + evaluator per pool thread."""
-
-    def __init__(self, design: Design, objectives: Tuple[str, ...]):
-        self._payload = design_to_payload(design)
-        self._objectives = objectives
-        self._local = threading.local()
-
-    def evaluator(self) -> BatchEvaluator:
-        evaluator = getattr(self._local, "evaluator", None)
-        if evaluator is None:
-            evaluator = BatchEvaluator(
-                design_from_payload(self._payload), self._objectives
-            )
-            self._local.evaluator = evaluator
-        return evaluator
-
-
 def _observe_chunk(record: Mapping) -> None:
     rows = record["rows"]
     failed = sum(1 for row in rows if row["error"])
@@ -251,7 +232,7 @@ def _drive(
     should_stop: Optional[Callable[[], bool]],
     on_chunk: Optional[Callable[..., None]],
 ) -> Tuple[Dict[int, dict], EngineReport]:
-    """Evaluate ``chunks`` serially, on threads or on forked workers.
+    """Evaluate ``chunks`` in-process or on forked workers.
 
     A chunk is a pair whose first member keys its record;
     ``points_of(chunk)`` lists its point indices and ``header(chunk)``
@@ -279,7 +260,11 @@ def _drive(
         if on_chunk is not None:
             on_chunk(*chunk, rows, seconds)
 
-    if mode == "serial" or (workers == 1 and mode == "thread"):
+    if mode not in ("serial", "process"):
+        raise ExploreError(
+            f"unknown engine mode {mode!r}; choose serial or process"
+        )
+    if mode == "serial" or workers == 1:
         evaluator = BatchEvaluator(design, objectives)
         for chunk in chunks:
             if should_stop is not None and should_stop():
@@ -287,19 +272,7 @@ def _drive(
             with span("explore.chunk"):
                 _record(chunk, *_evaluate_chunk(
                     evaluator, space, derived, points_of(chunk)))
-    elif mode == "thread":
-        pool_workers = _ThreadWorkers(design, objectives)
-
-        def _thread_chunk(chunk, points):
-            return (chunk,) + _evaluate_chunk(
-                pool_workers.evaluator(), space, derived, points)
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="explore"
-        ) as pool:
-            _pump(pool, _thread_chunk, chunks, points_of, workers,
-                  should_stop, _record)
-    elif mode == "process":
+    else:
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - platforms without fork
@@ -317,10 +290,6 @@ def _drive(
         ) as pool:
             _pump(pool, _proc_chunk, chunks, points_of, workers,
                   should_stop, _record)
-    else:
-        raise ExploreError(
-            f"unknown engine mode {mode!r}; choose serial, thread or process"
-        )
 
     report.seconds = time.perf_counter() - began
     _metric_memo().inc(report.hits, kind="hit")
@@ -380,7 +349,7 @@ def run_index_chunks(
     ``index_chunks`` is ``[(ordinal, [indices...]), ...]``; each chunk
     checkpoints through ``on_chunk(ordinal, indices, rows, seconds)``
     exactly like :func:`run_chunks` does for contiguous ranges, with
-    the same serial/thread/process modes and cancellation contract.
+    the same serial/process modes and cancellation contract.
     Records are ``{"ordinal", "indices", "rows", "seconds"}``.
     """
     return _drive(

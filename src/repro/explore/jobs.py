@@ -53,7 +53,7 @@ _TERMINAL = frozenset({"done", "failed"})
 # and \Z (not $) so "job-0001\n" cannot smuggle a newline through
 _JOB_ID_RE = re.compile(r"^job-[0-9]{4,12}\Z")
 
-_ENGINE_MODES = ("serial", "thread", "process")
+_ENGINE_MODES = ("serial", "process")
 
 
 def _metric_jobs():
@@ -421,6 +421,10 @@ class SweepJob:
             )
             job.workers = max(1, int(payload.get("workers", 1)))
             mode = str(payload.get("mode", "serial"))
+            if mode == "thread":
+                # checkpoints written while a thread-pool mode existed;
+                # every mode yields the same rows, so resume serially
+                mode = "serial"
             if mode not in _ENGINE_MODES:
                 raise JobError(f"corrupt job payload: mode {mode!r}")
             job.mode = mode

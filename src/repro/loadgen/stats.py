@@ -7,7 +7,8 @@ Two complementary sources:
 * the server's ``powerplay_http_request_seconds`` histogram from the
   observability registry — what a production scrape would see, read by
   :func:`histogram_quantile` with the standard Prometheus
-  linear-interpolation-within-bucket estimate.
+  linear-interpolation-within-bucket estimate
+  (:func:`repro.obs.metrics.bucket_quantile`).
 
 Reporting both catches disagreement between what the client felt and
 what the server measured (queueing in the transport, for example).
@@ -15,9 +16,9 @@ what the server measured (queueing in the transport, for example).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from ..obs.metrics import Histogram
+from ..obs.metrics import Histogram, bucket_quantile, sample_quantile
 
 PERCENTILES = (0.50, 0.95, 0.99)
 
@@ -28,14 +29,7 @@ def percentile(samples: Sequence[float], q: float) -> float:
         return 0.0
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = q * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] + (ordered[high] - ordered[low]) * fraction
+    return sample_quantile(sorted(samples), q)
 
 
 def summarize_latencies(samples: Sequence[float]) -> Dict[str, float]:
@@ -53,51 +47,19 @@ def summarize_latencies(samples: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def _aggregate_buckets(
-    histogram: Histogram, route: Optional[str] = None
-) -> Tuple[List[int], int]:
-    """Summed per-bucket counts (+Inf last) across label sets.
-
-    ``route`` filters to one label value when the histogram is labelled
-    by route (the first declared label); ``None`` aggregates everything.
-    """
-    slots = [0] * (len(histogram.bounds) + 1)
-    total = 0
-    with histogram._lock:
-        for key, counts in histogram._buckets.items():
-            if route is not None and key and key[0] != route:
-                continue
-            for index, count in enumerate(counts):
-                slots[index] += count
-                total += count
-    return slots, total
-
-
 def histogram_quantile(
     histogram: Histogram, q: float, route: Optional[str] = None
 ) -> float:
-    """Prometheus-style quantile estimate from cumulative buckets.
+    """Prometheus-style quantile estimate over a registry histogram.
 
-    Linear interpolation inside the bucket containing the target rank;
-    observations in the ``+Inf`` bucket clamp to the highest finite
-    bound (exactly what ``histogram_quantile()`` does in PromQL).
+    ``route`` filters to one label value when the histogram is labelled
+    by route (the first declared label); ``None`` aggregates everything.
+    An empty histogram estimates 0.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
-    slots, total = _aggregate_buckets(histogram, route)
-    if total == 0:
-        return 0.0
-    rank = q * total
-    seen = 0.0
-    lower = 0.0
-    for index, bound in enumerate(histogram.bounds):
-        in_bucket = slots[index]
-        if seen + in_bucket >= rank and in_bucket > 0:
-            fraction = (rank - seen) / in_bucket
-            return lower + (bound - lower) * fraction
-        seen += in_bucket
-        lower = bound
-    return histogram.bounds[-1]
+    value = bucket_quantile(histogram.bucket_counts(route), q)
+    return 0.0 if value is None else value
 
 
 def histogram_summary(

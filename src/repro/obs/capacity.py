@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .history import HistoryStore, _round12, _round_t, render_sparkline
-from .metrics import parse_series_key
+from .metrics import bucket_quantile, parse_series_key
 
 __all__ = [
     "CapacityReport",
@@ -229,36 +229,6 @@ def _sum_aligned(
     return sorted(out.items())
 
 
-def _histogram_quantile(
-    buckets: Sequence[Tuple[float, float]], q: float,
-) -> Optional[float]:
-    """Prometheus-style quantile from (upper bound, count-in-window).
-
-    Linear interpolation inside the winning bucket; the +Inf bucket
-    reports its lower bound (the standard estimator's behaviour).
-    """
-    finite = sorted(buckets)
-    total = sum(count for _, count in finite)
-    if total <= 0:
-        return None
-    target = q * total
-    cumulative = 0.0
-    previous_bound = 0.0
-    for bound, count in finite:
-        if count <= 0:
-            previous_bound = bound if math.isfinite(bound) \
-                else previous_bound
-            continue
-        if cumulative + count >= target:
-            if not math.isfinite(bound):
-                return previous_bound
-            fraction = (target - cumulative) / count
-            return previous_bound + (bound - previous_bound) * fraction
-        cumulative += count
-        previous_bound = bound if math.isfinite(bound) else previous_bound
-    return previous_bound
-
-
 def _collect_by_label(
     store: HistoryStore,
     name: str,
@@ -360,7 +330,7 @@ def build_capacity_report(
             for bound, cumulative in bucket_increases:
                 occupancy.append((bound, max(0.0, cumulative - previous)))
                 previous = cumulative
-            quantile_latency = _histogram_quantile(occupancy, quantile)
+            quantile_latency = bucket_quantile(occupancy, quantile)
 
         service_time = mean_latency if mean_latency is not None else 0.0
         concurrency = projected * service_time

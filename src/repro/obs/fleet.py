@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .logs import get_logger
-from .metrics import merge_states
+from .metrics import bucket_quantile, merge_states
 from .trace import span
 
 __all__ = [
@@ -164,12 +164,10 @@ def family_quantile(
 ) -> Optional[float]:
     """Estimate a quantile from a merged histogram family.
 
-    Sums the ``_bucket`` series across label sets (fleet-wide view),
-    then linearly interpolates inside the winning bucket — the same
-    estimator as ``loadgen.stats.histogram_quantile``, applied to the
-    merged series dict instead of a live :class:`Histogram`.  Returns
-    ``None`` when the family has no observations.  An answer that
-    lands in the ``+Inf`` bucket clamps to the highest finite bound.
+    Sums the cumulative ``_bucket`` series across label sets
+    (fleet-wide view) and hands the per-bucket counts to
+    :func:`~repro.obs.metrics.bucket_quantile`.  Returns ``None`` when
+    the family has no observations or no finite bucket.
     """
     if family.get("kind") != "histogram":
         return None
@@ -182,28 +180,15 @@ def family_quantile(
         bound_text = key[start + 4:end]
         bound = math.inf if bound_text == "+Inf" else float(bound_text)
         totals[bound] = totals.get(bound, 0.0) + float(value)  # type: ignore[arg-type]
-    if not totals:
-        return None
     bounds = sorted(totals)
-    total = totals[bounds[-1]]
-    if total <= 0:
+    if not bounds or bounds[0] == math.inf:
         return None
-    rank = q * total
-    previous_bound = 0.0
-    previous_count = 0.0
-    finite = [bound for bound in bounds if bound != math.inf]
+    per_bucket = []
+    previous = 0.0
     for bound in bounds:
-        count = totals[bound]
-        if count >= rank:
-            if bound == math.inf:
-                return finite[-1] if finite else None
-            if count == previous_count:
-                return bound
-            fraction = (rank - previous_count) / (count - previous_count)
-            return previous_bound + fraction * (bound - previous_bound)
-        previous_bound = bound if bound != math.inf else previous_bound
-        previous_count = count
-    return finite[-1] if finite else None
+        per_bucket.append((bound, totals[bound] - previous))
+        previous = totals[bound]
+    return bucket_quantile(per_bucket, q)
 
 
 @dataclass

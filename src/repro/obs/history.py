@@ -58,9 +58,8 @@ from typing import (
 )
 
 from .logs import get_logger
-from .metrics import Counter, Gauge, parse_series_key
+from .metrics import Counter, Gauge, parse_series_key, sample_quantile
 from ..state import fsio
-from .recorder import _atomic_write
 
 __all__ = [
     "HistoryConfig",
@@ -359,7 +358,7 @@ class HistoryStore:
             for when, kinds, flat in self._active
         )
         self._close_journal()
-        _atomic_write(self.journal_path, text)
+        fsio.atomic_write_text(self.journal_path, text)
 
     @staticmethod
     def _journal_line(
@@ -445,7 +444,7 @@ class HistoryStore:
             path = self.segments_dir / _segment_name(
                 "raw", self._active[0][0], self._active[-1][0]
             )
-            _atomic_write(path, json.dumps(payload, sort_keys=True))
+            fsio.atomic_write_text(path, json.dumps(payload, sort_keys=True))
             _metric_files().inc(op="seal")
             self._segments[path.name] = _Segment(
                 path, "raw", self._active[0][0], self._active[-1][0]
@@ -617,7 +616,7 @@ class HistoryStore:
                     dict(payload.get("families", {})),  # type: ignore[arg-type]
                     baseline or {},
                 )
-                _atomic_write(
+                fsio.atomic_write_text(
                     target, json.dumps(rollup, sort_keys=True)
                 )
                 _metric_files().inc(op="compact")
@@ -704,7 +703,7 @@ class HistoryStore:
                 merged = self._merge_m1(members)
                 if merged is None:
                     continue
-                _atomic_write(
+                fsio.atomic_write_text(
                     target, json.dumps(merged, sort_keys=True)
                 )
                 _metric_files().inc(op="compact")
@@ -901,7 +900,7 @@ class HistoryStore:
                 entry["points"] = _rate_points(series_points)
             else:
                 values = sorted(v for _, v in series_points)
-                entry["value"] = _round12(_quantile(values, q))
+                entry["value"] = _round12(sample_quantile(values, q))
                 entry["samples"] = len(values)
             result.series.append(entry)
         return result
@@ -1174,22 +1173,6 @@ def _rate_points(
             delta = v1
         out.append([_round_t(t1), _round12(delta / dt)])
     return out
-
-
-def _quantile(sorted_values: Sequence[float], q: float) -> float:
-    """Exact sample quantile (nearest-rank with linear interpolation)."""
-    if not sorted_values:
-        return math.nan
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    position = q * (len(sorted_values) - 1)
-    low = int(math.floor(position))
-    high = min(low + 1, len(sorted_values) - 1)
-    fraction = position - low
-    return (
-        sorted_values[low] * (1 - fraction)
-        + sorted_values[high] * fraction
-    )
 
 
 def render_sparkline(values: Sequence[float], width: int = 40) -> str:

@@ -33,9 +33,11 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bucket_quantile",
     "get_registry",
     "merge_states",
     "parse_series_key",
+    "sample_quantile",
 ]
 
 #: seconds — tuned for "virtually instantaneous" request handling
@@ -352,6 +354,22 @@ class Histogram(_Metric):
                 )
         return out
 
+    def bucket_counts(
+        self, first_label: Optional[str] = None
+    ) -> List[Tuple[float, int]]:
+        """``(upper bound, observations in that bucket)`` pairs, ``+Inf``
+        last, summed over every label set — or over those whose first
+        label value is ``first_label`` — ready for
+        :func:`bucket_quantile`."""
+        slots = [0] * (len(self.bounds) + 1)
+        with self._lock:
+            for key, counts in self._buckets.items():
+                if first_label is not None and key and key[0] != first_label:
+                    continue
+                for index, count in enumerate(counts):
+                    slots[index] += count
+        return list(zip(self.bounds + (math.inf,), slots))
+
     def render(self) -> List[str]:
         lines = self.header()
         with self._lock:
@@ -554,6 +572,50 @@ class MetricsRegistry:
         """
         for metric in self.metrics():
             metric.reset()
+
+
+def bucket_quantile(
+    buckets: Sequence[Tuple[float, float]], q: float
+) -> Optional[float]:
+    """Prometheus-style quantile estimate from histogram buckets.
+
+    ``buckets`` are ``(upper bound, observations in that bucket)``
+    pairs sorted by bound — per-bucket counts, not the cumulative ones
+    of the exposition text — usually ending in ``+Inf``.  The estimate
+    interpolates linearly inside the first non-empty bucket whose
+    running count reaches ``q * total``, from the bound before it (0
+    for the first); a rank in ``+Inf`` clamps to the highest finite
+    bound, as PromQL's ``histogram_quantile()`` does.  ``None`` when
+    there are no observations.
+    """
+    total = sum(count for _, count in buckets)
+    if total <= 0:
+        return None
+    rank = q * total
+    seen = 0.0
+    lower = 0.0
+    for bound, count in buckets:
+        if count > 0 and seen + count >= rank:
+            if math.isinf(bound):
+                return lower
+            return lower + (bound - lower) * ((rank - seen) / count)
+        seen += count
+        if not math.isinf(bound):
+            lower = bound
+    return lower
+
+
+def sample_quantile(ordered: Sequence[float], q: float) -> float:
+    """Exact quantile of sorted samples: linear interpolation between
+    the two nearest ranks.  NaN when there are no samples."""
+    if not ordered:
+        return math.nan
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = q * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
 
 
 _LE_RE_FRAGMENT = 'le="'

@@ -290,7 +290,7 @@ class FlightRecorder:
         path = self.snapshot_dir / name
         try:
             self.snapshot_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write(
+            fsio.atomic_write_text(
                 path, json.dumps(payload, sort_keys=True, indent=1)
             )
         except OSError as exc:  # disk trouble must not fail the request
@@ -339,11 +339,6 @@ def _slug(text: str) -> str:
         ch if ch.isalnum() or ch == "-" else "-" for ch in text.lower()
     )
     return cleaned.strip("-")[:40] or "snapshot"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """mkstemp + fsync + atomic rename + directory fsync (state.fsio)."""
-    fsio.atomic_write_text(path, text)
 
 
 def _quarantine(path: Path, reason: str) -> Path:

@@ -7,8 +7,8 @@ up from the last complete checkpoint, producing a **byte-identical**
 export:
 
 1. **train** — exact evaluation of the seeded training sample, chunked
-   through :func:`repro.explore.engine.run_index_chunks` (serial,
-   thread, or process mode) and checkpointed chunk by chunk;
+   through :func:`repro.explore.engine.run_index_chunks` (serial or
+   process mode) and checkpointed chunk by chunk;
 2. **plan** — fit the per-objective surrogates from the training rows,
    stream-predict the full space, select the predicted Pareto front and
    the uncertainty band, and checkpoint the whole plan (fit payloads,

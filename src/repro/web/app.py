@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import secrets
 import threading
 import time
@@ -91,6 +92,7 @@ from ..obs import profile as obs_profile
 from ..obs import propagate
 from ..obs import recorder as obs_recorder
 from ..obs import render_trace
+from ..obs.metrics import bucket_quantile
 from ..obs.recorder import FlightRecorder
 from ..obs.slo import SLOTracker
 from ..obs.trace import Span, traced
@@ -1080,6 +1082,15 @@ class Application:
         uses; every malformed field raises :class:`ExploreError`, which
         the submit handler turns into a re-rendered form — never a 500.
         """
+        # process mode forks every worker at the first chunk, so the
+        # count is bounded before anything is built or persisted
+        workers = self._sweep_int(data, "workers", 1)
+        cpus = os.cpu_count() or 1
+        if not 1 <= workers <= cpus:
+            raise ExploreError(
+                f"workers must be between 1 and {cpus} (the server's CPU "
+                f"count), got {workers}"
+            )
         name = data.get("design", "")
         if name.startswith("example:"):
             design = _build_example(name[len("example:"):])
@@ -1150,8 +1161,8 @@ class Application:
             objectives=objectives,
             derived=derived,
             owner=user,
-            workers=self._sweep_int(data, "workers", 2),
-            mode=data.get("mode", "thread"),
+            workers=workers,
+            mode=data.get("mode", "serial"),
             chunk_size=self._sweep_int(data, "chunk_size", 16),
             prune=data.get("prune", "no") == "yes",
             surrogate=surrogate,
@@ -1645,16 +1656,12 @@ class Application:
             requests_by_route[route] = requests_by_route.get(route, 0) + count
         latency_count = samples("powerplay_http_request_seconds_count")
         latency_sum = samples("powerplay_http_request_seconds_sum")
-        # lazy import: repro.loadgen's package __init__ pulls the load
-        # driver, which imports this module back — resolve at call time
-        from ..loadgen.stats import histogram_quantile
-
         latency_hist = self.registry.get("powerplay_http_request_seconds")
 
         def quantile_ms(route: str, q: float) -> str:
             if latency_hist is None or not latency_count.get((route,), 0.0):
                 return "—"
-            value = histogram_quantile(latency_hist, q, route=route)
+            value = bucket_quantile(latency_hist.bucket_counts(route), q)
             return f"{value * 1e3:.2f} ms"
 
         request_rows = []

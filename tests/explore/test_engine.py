@@ -1,5 +1,7 @@
 """The sweep engine: modes agree byte-for-byte, resume is exact."""
 
+import json
+
 import pytest
 
 from repro.core.design import Design
@@ -7,6 +9,7 @@ from repro.core.estimator import evaluate_power, scope_overrides
 from repro.core.expressions import compile_expression as E
 from repro.core.model import CapacitiveTerm, TemplatePowerModel
 from repro.core.parameters import Parameter
+from repro.errors import ExploreError
 from repro.explore import (
     Axis,
     DerivedObjective,
@@ -104,14 +107,6 @@ class TestSweepCorrectness:
 
 
 class TestModeEquivalence:
-    def test_thread_mode_byte_identical(self):
-        serial = run_sweep(make_design(), make_space(), chunk_size=3)
-        threaded = run_sweep(
-            make_design(), make_space(), chunk_size=3,
-            workers=4, mode="thread",
-        )
-        assert outcome_bytes(serial) == outcome_bytes(threaded)
-
     def test_process_mode_byte_identical(self):
         serial = run_sweep(make_design(), make_space(), chunk_size=4)
         forked = run_sweep(
@@ -119,6 +114,28 @@ class TestModeEquivalence:
             workers=2, mode="process",
         )
         assert outcome_bytes(serial) == outcome_bytes(forked)
+
+    def test_one_process_worker_runs_in_process(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker sweep started a pool")
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", no_pool
+        )
+        serial = run_sweep(make_design(), make_space(), chunk_size=4)
+        single = run_sweep(
+            make_design(), make_space(), chunk_size=4,
+            workers=1, mode="process",
+        )
+        assert outcome_bytes(serial) == outcome_bytes(single)
+        assert single.report.mode == "process"
+
+    @pytest.mark.parametrize("mode", ["thread", "warp"])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ExploreError, match="unknown engine mode"):
+            run_sweep(make_design(), make_space(), mode=mode)
 
 
 class TestResumeEquivalence:
@@ -142,6 +159,38 @@ class TestResumeEquivalence:
         revived = JobStore(tmp_path).job(job.job_id)
         run_job(revived)
         assert revived.state == "done"
+        resumed = export_json(
+            revived.result_rows(),
+            revived.space.axis_names,
+            revived.objective_names,
+        )
+        assert resumed == expected
+
+    def test_thread_mode_checkpoint_resumes_serially(self, tmp_path):
+        """A half-done checkpoint written while the engine still had a
+        thread mode loads as a serial job (not a corrupt one) and
+        resumes to the export of an uninterrupted serial run."""
+        expected = outcome_bytes(
+            run_sweep(make_design(), make_space(), chunk_size=3)
+        )
+        store = JobStore(tmp_path)
+        job = store.create(
+            make_design(), make_space(), workers=2, chunk_size=3
+        )
+        run_job(job, should_stop=lambda: len(job.chunks) >= 2)
+        assert job.state == "cancelled"
+        path = tmp_path / f"{job.job_id}.json"
+        payload = json.loads(path.read_text())
+        payload["mode"] = "thread"
+        path.write_text(json.dumps(payload, sort_keys=True))
+
+        fresh = JobStore(tmp_path)
+        revived = fresh.job(job.job_id)
+        assert revived.mode == "serial"
+        assert len(revived.chunks) == 2
+        run_job(revived)
+        assert revived.state == "done"
+        assert not fresh.quarantined
         resumed = export_json(
             revived.result_rows(),
             revived.space.axis_names,
@@ -199,11 +248,6 @@ class TestIndexChunks:
             }
             for ordinal, record in records.items()
         }
-
-    def test_thread_mode_identical_to_serial(self):
-        _, serial, _ = self.records()
-        _, threaded, _ = self.records(mode="thread", workers=3)
-        assert self.stable(threaded) == self.stable(serial)
 
     def test_process_mode_identical_to_serial(self):
         _, serial, _ = self.records()

@@ -30,7 +30,7 @@ from repro.loadgen import (
     run_script,
     verify,
 )
-from repro.errors import TransientRemoteError
+from repro.errors import StateError, TransientRemoteError
 from repro.obs.fleet import FleetScraper
 from repro.state import BACKEND_KINDS, open_backend
 from repro.web.app import Application
@@ -68,6 +68,25 @@ def _front_vs_serial(tmp_path, workers, backend, users, ops, seed):
     assert not serial_result.server_errors
     report = verify(script, concurrent_app, serial_app)
     return script, result, report
+
+
+def test_front_refuses_without_so_reuseport(tmp_path, monkeypatch):
+    """Every worker binds the public port with SO_REUSEPORT; without it
+    the front fails up front, naming the requirement, and spawns no
+    worker."""
+    import socket
+
+    spawned = []
+
+    def popen(*args, **kwargs):
+        spawned.append(args)
+        raise OSError("spawning is blocked in this test")
+
+    monkeypatch.delattr(socket, "SO_REUSEPORT")
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    with pytest.raises(StateError, match="SO_REUSEPORT"):
+        MultiWorkerFront(tmp_path / "state", workers=2).start()
+    assert spawned == []
 
 
 def test_two_worker_front_matches_serial(tmp_path):

@@ -11,13 +11,13 @@ import pytest
 
 from repro import obs
 from repro.obs.capacity import (
-    _histogram_quantile,
     _increase,
     _slope_per_second,
     _sum_aligned,
     build_capacity_report,
 )
 from repro.obs.history import HistoryConfig, HistoryStore
+from repro.obs.metrics import bucket_quantile as _histogram_quantile
 
 
 @pytest.fixture(autouse=True)
@@ -157,6 +157,29 @@ class TestCapacityReport:
         (route,) = report.routes
         # all observations fall in the (0.1, 0.5] bucket
         assert 0.1 < route.quantile_latency_s <= 0.5
+
+    @pytest.mark.parametrize("quantile, expected", [
+        (0.0, 0.05), (0.1, 0.065), (0.25, 0.08750000000000001),
+        (0.5, 0.30000000000000004), (0.9, 1.0), (1.0, 1.0),
+    ])
+    def test_quantile_pinned_with_empty_and_inf_buckets(
+        self, tmp_path, quantile, expected
+    ):
+        """Two leading empty buckets and a sixth of the requests past
+        the last finite bound; values pinned from the capacity fit's
+        output before the bucket estimators were merged."""
+        data = []
+        for index in range(13):
+            t = index * 5.0
+            n = 6.0 * t
+            data.append((t, {"/api/ping": (n, 0.3 * n, n, {
+                "0.01": 0.0, "0.05": 0.0, "0.1": n / 3, "0.5": 2 * n / 3,
+                "1.0": 5 * n / 6, "+Inf": n,
+            })}))
+        store = store_with(tmp_path, data)
+        report = build_capacity_report(store, quantile=quantile)
+        (route,) = report.routes
+        assert route.quantile_latency_s == expected
 
     def test_rendering_and_payload_are_consistent(self, tmp_path):
         store = self.steady(tmp_path)

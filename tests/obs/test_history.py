@@ -21,9 +21,9 @@ from repro.obs.history import (
     HistoryStore,
     _decode_deltas,
     _encode_deltas,
-    _quantile,
     render_sparkline,
 )
+from repro.obs.metrics import sample_quantile as _quantile
 
 
 class FakeClock:

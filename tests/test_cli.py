@@ -105,6 +105,13 @@ class TestEngineSweep:
         code, out, _err = run(capsys, "jobs", "--state", state)
         assert "done" in out
 
+    def test_thread_mode_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "fig1", "--axis", "VDD=1.1:3.3:0.4",
+                  "--mode", "thread"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_stateless_sweep_prints_table(self, capsys):
         code, out, _err = run(
             capsys, "sweep", "fig1",

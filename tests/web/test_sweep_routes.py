@@ -57,6 +57,12 @@ class TestSweepForm:
         assert response.status == 200
         assert "Launch sweep" in response.body
 
+    def test_form_defaults_to_one_serial_worker(self, app):
+        body = get(app, f"/sweep?user={USER}").body
+        assert '<option value="serial" selected' in body
+        assert 'name="workers" value="1"' in body
+        assert "thread" not in body
+
     def test_requires_user(self, app):
         assert get(app, "/sweep").status == 400
 
@@ -88,6 +94,31 @@ class TestValidationNever500:
         assert "Launch sweep" in response.body
         if expect:
             assert expect in response.body
+
+    @pytest.mark.parametrize("workers", ["0", "100000"])
+    def test_worker_count_outside_cpu_count_is_400(
+        self, app, monkeypatch, workers
+    ):
+        """Process mode forks every worker up front, so the count is
+        checked before a job exists.  The job runner is stubbed out, so
+        even a regression here can never start a pool."""
+        started = []
+        monkeypatch.setattr(app, "_start_job_thread", started.append)
+        response = post(
+            app, "/sweep",
+            **{**GOOD_FORM, "mode": "process", "workers": workers},
+        )
+        assert response.status == 400
+        assert "Launch sweep" in response.body
+        assert "workers must be between 1 and" in response.body
+        assert app.jobs.job_ids() == []
+        assert started == []
+
+    def test_thread_mode_is_rejected(self, app):
+        response = post(app, "/sweep", **{**GOOD_FORM, "mode": "thread"})
+        assert response.status == 400
+        assert "unknown engine mode" in response.body
+        assert app.jobs.job_ids() == []
 
     def test_point_cap_breach_is_400(self, app):
         response = post(
@@ -185,8 +216,8 @@ class TestSweepLifecycle:
                 "VDD2=1.1:3.3:1.0\n"
                 "bw@custom_hardware.luminance_chip.read_bank.bits=8,16"
             ),
-            mode="thread",
-            workers="2",
+            mode="serial",
+            workers="1",
         )
         exported = get(
             app, f"/sweep/result?user={USER}&job={job_id}&fmt=json"
