@@ -4,31 +4,51 @@ A :class:`SweepJob` is the durable record of one exploration run —
 the design (as a library payload, so a process that never saw the
 original request can rebuild it), the parameter space, the requested
 objectives, the engine settings, and every finished chunk's result
-rows.  :class:`JobStore` persists each job as one compact JSON document
-through the state backend's atomic, fsynced save (the same discipline
-as the web session store), so a ``kill -9`` at any instant leaves
-either the previous complete checkpoint or the new complete checkpoint
-— never a torn one.
+rows.
 
-Every chunk is checkpointed, so a job is re-saved once per chunk.
-Chunks are write-once: a job keeps each recorded chunk's encoded text
-(:meth:`SweepJob.to_json`) and a checkpoint encodes only the header
-(settings, state, design, space) and the surrogate phase ``data``,
-splicing the cached chunk texts in with
-:func:`repro.state.jsondoc.assemble`.  The text is
-byte-identical to ``jsondoc.dumps(job.to_payload(), sort_keys=True)``.
+:class:`JobStore` keeps each job as write-once *part* documents under
+one small mutable *manifest*, all through the state backend's atomic,
+fsynced save (the same discipline as the web session store):
 
-Resume is therefore trivial and *verifiable*: the engine replays only
-the chunks missing from :attr:`SweepJob.chunks`, and because every
-chunk's rows are a pure function of (design payload, space payload,
-chunk range), the resumed job's exported results are byte-identical to
-an uninterrupted run's.
+* the **spec** part — design, space, objectives, derived objectives and
+  engine settings — is written once, by the first checkpoint;
+* each finished **chunk** is a part: exact ``[start, stop)`` chunks and
+  the surrogate ``train``/``verify`` phase chunks alike, and so is a
+  phase's ``data`` (the surrogate ``plan``);
+* the **manifest**, stored under the ``job-NNNN`` key (format
+  ``powerplay-job/2``), holds the state, the error, the cancel flag and
+  the keys of the committed parts, laid out like the chunk maps they
+  stand for.
+
+Parts live in the :attr:`JobStore.PARTS` namespace under keys
+``job-NNNN.<token>.<serial>``: the token is drawn fresh by every
+:class:`SweepJob` instance that writes, so a part key is never reused
+and a listed part is never overwritten.  A checkpoint saves the parts
+that are new since the last one, then the manifest that lists them;
+the manifest save is the commit point.  A ``kill -9`` at any instant
+therefore leaves the previous complete checkpoint or the new one —
+parts written before the kill but not yet listed are orphans that no
+reader looks at — and a job writes each chunk once, so the bytes a job
+writes grow with its points, not with their square.
+
+A checkpoint from before the split (``powerplay-job/1``: the whole job
+in one document, :meth:`SweepJob.to_payload`) still loads; its first
+save converts it, and until that manifest lands the old document stays
+in place.
+
+Resume is trivial and *verifiable*: the engine replays only the chunks
+missing from :attr:`SweepJob.chunks`, and because every chunk's rows
+are a pure function of (design payload, space payload, chunk range),
+the resumed job's exported results are byte-identical to an
+uninterrupted run's.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+import secrets
 import threading
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -54,6 +74,11 @@ _TERMINAL = frozenset({"done", "failed"})
 _JOB_ID_RE = re.compile(r"^job-[0-9]{4,12}\Z")
 
 _ENGINE_MODES = ("serial", "process")
+
+#: the manifest's format; ``powerplay-job/1`` is the whole job as one
+#: document (:meth:`SweepJob.to_payload`), the layout before the split
+_FORMAT = "powerplay-job/2"
+_WHOLE_FORMAT = "powerplay-job/1"
 
 
 def _metric_jobs():
@@ -158,14 +183,12 @@ class SweepJob:
         self.cancel_requested = False
         #: chunk start index -> {"start", "stop", "rows", "seconds"}
         self.chunks: Dict[int, dict] = {}
-        #: (phase or None, chunk key) -> (chunk, its encoded text); see
-        #: :meth:`to_json`
-        self._fragments: Dict[tuple, tuple] = {}
         #: serializes state transitions, checkpoint writes and every read
         #: of ``chunks``/``phases`` across the web runner thread, status
         #: pages, pollers and CLI resume
         self.lock = threading.RLock()
         self._store: Optional["JobStore"] = None
+        self._unsaved()
 
     # -- derived views -----------------------------------------------------
 
@@ -316,92 +339,133 @@ class SweepJob:
 
     # -- persistence -------------------------------------------------------
 
-    def _header(self) -> Dict[str, object]:
-        """Every top-level payload member except the chunk maps."""
-        header: Dict[str, object] = {
-            "format": "powerplay-job/1",
-            "job_id": self.job_id,
-            "owner": self.owner,
-            "design_name": self.design_name,
-            "design": self.design_payload,
-            "space": self.space.to_payload(),
-            "objectives": list(self.objectives),
-            "derived": [d.to_payload() for d in self.derived],
-            "workers": self.workers,
-            "mode": self.mode,
-            "chunk_size": self.chunk_size,
-            "prune": self.prune,
+    def _unsaved(self) -> None:
+        """Start with no committed parts and a fresh part-key token."""
+        #: where a part sits in the payload -> (the object it holds, its
+        #: key); see :meth:`_checkpoint`
+        self._parts: Dict[tuple, tuple] = {}
+        self._token = secrets.token_hex(4)
+        self._serials = itertools.count()
+        self._spec_payload: Optional[dict] = None
+
+    def _spec(self) -> dict:
+        """The write-once members: design, space, objectives, settings."""
+        if self._spec_payload is None:
+            spec: Dict[str, object] = {
+                "job_id": self.job_id,
+                "owner": self.owner,
+                "design_name": self.design_name,
+                "design": self.design_payload,
+                "space": self.space.to_payload(),
+                "objectives": list(self.objectives),
+                "derived": [d.to_payload() for d in self.derived],
+                "workers": self.workers,
+                "mode": self.mode,
+                "chunk_size": self.chunk_size,
+                "prune": self.prune,
+            }
+            if self.surrogate is not None:
+                spec["surrogate"] = dict(self.surrogate)
+            self._spec_payload = spec
+        return self._spec_payload
+
+    def to_payload(self) -> dict:
+        """The whole job as one document (``powerplay-job/1``).
+
+        What a checkpoint's manifest and parts reassemble to, and the
+        single-document layout earlier versions wrote.
+        """
+        with self.lock:
+            payload = dict(self._spec())
+            payload.update(
+                format=_WHOLE_FORMAT,
+                state=self.state,
+                error=self.error,
+                cancel_requested=self.cancel_requested,
+            )
+            payload["chunks"] = {
+                str(start): chunk
+                for start, chunk in sorted(self.chunks.items())
+            }
+            if self.surrogate is not None:
+                payload["phases"] = {
+                    phase: {
+                        key: (
+                            {str(o): c for o, c in sorted(value.items())}
+                            if key == "chunks" else value
+                        )
+                        for key, value in slot.items()
+                    }
+                    for phase, slot in sorted(self.phases.items())
+                }
+            return payload
+
+    def _checkpoint(self) -> Tuple[Dict[str, str], str, Dict[tuple, tuple]]:
+        """What the next checkpoint writes: ``(new parts by key, the
+        manifest text, the part map it commits)``.
+
+        A part whose object is already on disk keeps its key; a new or
+        replaced one is encoded (``jsondoc.dumps(part, sort_keys=True)``)
+        under a key never used before.  The caller installs the part
+        map once the manifest is saved.
+        """
+        held = self._parts
+        committed: Dict[tuple, tuple] = {}
+        new: Dict[str, str] = {}
+
+        def part(where: tuple, value: object) -> str:
+            entry = held.get(where)
+            if entry is None or entry[0] is not value:
+                key = f"{self.job_id}.{self._token}.{next(self._serials)}"
+                new[key] = jsondoc.dumps(value, sort_keys=True)
+                entry = (value, key)
+            committed[where] = entry
+            return entry[1]
+
+        manifest: Dict[str, object] = {
+            "format": _FORMAT,
             "state": self.state,
             "error": self.error,
             "cancel_requested": self.cancel_requested,
+            "spec": part(("spec",), self._spec()),
+            "chunks": {
+                str(start): part(("chunk", start), chunk)
+                for start, chunk in self.chunks.items()
+            },
         }
         if self.surrogate is not None:
-            header["surrogate"] = dict(self.surrogate)
-        return header
-
-    def to_payload(self) -> dict:
-        payload = self._header()
-        payload["chunks"] = {
-            str(start): chunk for start, chunk in sorted(self.chunks.items())
-        }
-        if self.surrogate is not None:
-            payload["phases"] = {
+            manifest["phases"] = {
                 phase: {
                     key: (
-                        {str(o): c for o, c in sorted(value.items())}
-                        if key == "chunks" else value
+                        {
+                            str(o): part(("phase", phase, key, o), c)
+                            for o, c in value.items()
+                        }
+                        if key == "chunks"
+                        else part(("phase", phase, key), value)
                     )
                     for key, value in slot.items()
                 }
-                for phase, slot in sorted(self.phases.items())
+                for phase, slot in self.phases.items()
             }
-        return payload
+        return new, jsondoc.dumps(manifest, sort_keys=True), committed
 
-    def to_json(self) -> str:
-        """The checkpoint text: ``jsondoc.dumps(self.to_payload(),
-        sort_keys=True)``, with each chunk encoded only once.
-
-        Chunks are write-once, so the first encoding of a chunk is kept
-        and reused by every later checkpoint; a chunk object replaced
-        under the same key is re-encoded.  Chunks that
-        :meth:`from_payload` restored are encoded on the first save.
-        """
-        with self.lock:
-            parts = {
-                key: jsondoc.dumps(value, sort_keys=True)
-                for key, value in self._header().items()
-            }
-            parts["chunks"] = self._encode_chunks(None, self.chunks)
-            if self.surrogate is not None:
-                parts["phases"] = jsondoc.assemble({
-                    phase: jsondoc.assemble({
-                        key: (
-                            self._encode_chunks(phase, value)
-                            if key == "chunks"
-                            else jsondoc.dumps(value, sort_keys=True)
-                        )
-                        for key, value in slot.items()
-                    }, sort_keys=True)
-                    for phase, slot in self.phases.items()
-                }, sort_keys=True)
-            return jsondoc.assemble(parts, sort_keys=True)
-
-    def _encode_chunks(self, phase: Optional[str],
-                       chunks: Mapping[int, dict]) -> str:
-        fragments = self._fragments
-        parts = {}
-        for key, chunk in chunks.items():
-            cached = fragments.get((phase, key))
-            if cached is None or cached[0] is not chunk:
-                cached = fragments[(phase, key)] = (
-                    chunk, jsondoc.dumps(chunk, sort_keys=True)
-                )
-            parts[str(key)] = cached[1]
-        return jsondoc.assemble(parts, sort_keys=True)
+    def _adopt(self, keys: Mapping[tuple, str]) -> None:
+        """Mark the parts a manifest listed as already on disk."""
+        for where, key in keys.items():
+            if where[0] == "spec":
+                value = self._spec()
+            elif where[0] == "chunk":
+                value = self.chunks[where[1]]
+            elif len(where) == 4:
+                value = self.phases[where[1]][where[2]][where[3]]
+            else:
+                value = self.phases[where[1]][where[2]]
+            self._parts[where] = (value, key)
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SweepJob":
-        if payload.get("format") != "powerplay-job/1":
+        if payload.get("format") != _WHOLE_FORMAT:
             raise JobError(
                 f"corrupt job payload: format {payload.get('format')!r}"
             )
@@ -470,9 +534,9 @@ class SweepJob:
                     "rows": list(chunk["rows"]),
                     "seconds": float(chunk.get("seconds", 0.0)),
                 }
-            job._fragments = {}
             job.lock = threading.RLock()
             job._store = None
+            job._unsaved()
             return job
         except JobError:
             raise
@@ -496,14 +560,15 @@ class SweepJob:
 
 
 class JobStore:
-    """Backend-backed job registry: one JSON checkpoint per job.
+    """Backend-backed job registry: a manifest plus parts per job.
 
     Mirrors :class:`repro.web.session.UserStore`'s durability story,
-    now delegated to a :class:`~repro.state.backend.StateBackend`
-    (namespace ``"jobs"``): atomic fsynced saves, and quarantine
-    (file: ``.json.corrupt[-N]``; SQLite: a quarantine table) for
-    checkpoints that are unreadable anyway — the server keeps running
-    and the damaged bytes stay preserved for inspection.
+    now delegated to a :class:`~repro.state.backend.StateBackend`:
+    manifests in namespace ``"jobs"``, parts in ``"jobs-parts"`` (see
+    the module docstring), atomic fsynced saves, and quarantine (file:
+    ``.json.corrupt[-N]``; SQLite: a quarantine table) for jobs that
+    are unreadable anyway — the server keeps running and the damaged
+    bytes stay preserved for inspection.
 
     ``worker_index``/``worker_count`` stride id allocation so the
     pre-fork front's workers, sharing one backend, can never both mint
@@ -512,6 +577,9 @@ class JobStore:
     """
 
     NAMESPACE = "jobs"
+    #: the parts' namespace; its name starts with :attr:`NAMESPACE` so
+    #: per-namespace accounting that matches on the prefix counts them
+    PARTS = "jobs-parts"
 
     def __init__(
         self,
@@ -525,7 +593,9 @@ class JobStore:
         if backend is None:
             # standalone store: the historical layout rooted itself at
             # the jobs directory, not a parent state directory
-            backend = FileBackend(self.root, layout={self.NAMESPACE: "."})
+            backend = FileBackend(
+                self.root, layout={self.NAMESPACE: ".", self.PARTS: "parts"}
+            )
         self.backend = open_backend(backend, self.root)
         self.worker_index = worker_index
         self.worker_count = max(1, int(worker_count))
@@ -597,7 +667,12 @@ class JobStore:
         return job
 
     def _quarantine(self, job_id: str, reason: str) -> Path:
+        """Move the manifest and every part of ``job_id`` aside."""
         target = Path(self.backend.quarantine(self.NAMESPACE, job_id, reason))
+        prefix = f"{job_id}."
+        for key in self.backend.keys(self.PARTS):
+            if key.startswith(prefix):
+                self.backend.quarantine(self.PARTS, key, reason)
         self.quarantined.append((job_id, target, reason))
         _metric_jobs().inc(op="quarantine")
         _LOG.warning(
@@ -616,8 +691,7 @@ class JobStore:
             if text is None:
                 raise JobError(f"no job {job_id!r}")
             try:
-                payload = json.loads(text)
-                job = SweepJob.from_payload(payload)
+                job = self._read(job_id, json.loads(text))
             except (json.JSONDecodeError, PowerPlayError, ValueError,
                     TypeError, KeyError, AttributeError) as exc:
                 target = self._quarantine(job_id, str(exc))
@@ -629,6 +703,52 @@ class JobStore:
             self._jobs[job_id] = job
             _metric_jobs().inc(op="load")
             return job
+
+    def _read(self, job_id: str, manifest: Mapping) -> SweepJob:
+        """Rebuild a job from its manifest and the parts it lists."""
+        if manifest.get("format") != _FORMAT:
+            # a whole-job document; its first save converts it
+            return SweepJob.from_payload(manifest)
+        keys: Dict[tuple, str] = {}
+
+        def part(where: tuple, key: str) -> object:
+            if not isinstance(key, str) or not key.startswith(f"{job_id}."):
+                raise JobError(f"corrupt job manifest: part {key!r}")
+            text = self.backend.load(self.PARTS, key)
+            if text is None:
+                raise JobError(f"job part {key!r} is missing")
+            keys[where] = key
+            return json.loads(text)
+
+        payload = dict(part(("spec",), manifest["spec"]))
+        payload.update(
+            format=_WHOLE_FORMAT,
+            state=manifest["state"],
+            error=manifest["error"],
+            cancel_requested=manifest["cancel_requested"],
+        )
+        payload["chunks"] = {
+            start: part(("chunk", int(start)), key)
+            for start, key in manifest["chunks"].items()
+        }
+        if "phases" in manifest:
+            payload["phases"] = {
+                phase: {
+                    slot: (
+                        {
+                            o: part(("phase", phase, slot, int(o)), key)
+                            for o, key in value.items()
+                        }
+                        if slot == "chunks"
+                        else part(("phase", phase, slot), value)
+                    )
+                    for slot, value in slots.items()
+                }
+                for phase, slots in manifest["phases"].items()
+            }
+        job = SweepJob.from_payload(payload)
+        job._adopt(keys)
+        return job
 
     def list_jobs(self) -> List[SweepJob]:
         """All readable jobs, sorted by id (corrupt ones quarantined)."""
@@ -643,16 +763,19 @@ class JobStore:
     def save_job(self, job: SweepJob) -> None:
         """Atomically persist one job's checkpoint (crash-safe).
 
-        The document is :meth:`SweepJob.to_json` — compact JSON with
-        sorted keys, assembled from the job's cached chunk texts — and
-        is fully encoded before the backend is touched.
+        Writes the parts that are new since the last checkpoint, then
+        the manifest that lists them (the commit point).  Everything is
+        encoded before the backend is touched.
         """
-        with span("jobs.checkpoint", job=job.job_id):
+        with span("jobs.checkpoint", job=job.job_id), job.lock:
             with span("jobs.encode"):
-                text = job.to_json()
+                parts, manifest, committed = job._checkpoint()
             with span("state.write", namespace=self.NAMESPACE), \
                     self.backend.lock(self.NAMESPACE, job.job_id):
-                self.backend.save(self.NAMESPACE, job.job_id, text)
+                for key, text in parts.items():
+                    self.backend.save(self.PARTS, key, text)
+                self.backend.save(self.NAMESPACE, job.job_id, manifest)
+            job._parts = committed
         _metric_jobs().inc(op="save")
 
     def forget(self, job_id: str) -> None:

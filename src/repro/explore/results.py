@@ -14,8 +14,9 @@ A result *row* is the engine's serializable point record::
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
+from operator import le
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ExploreError
@@ -47,13 +48,6 @@ def _objective_vector(
         if not math.isfinite(value):
             return None
     return vector
-
-
-def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """True when ``a`` is no worse on every axis and better on one
-    (all objectives minimized)."""
-    no_worse = all(x <= y for x, y in zip(a, b))
-    return no_worse and any(x < y for x, y in zip(a, b))
 
 
 def pareto_rows(
@@ -90,15 +84,17 @@ def pareto_rows(
         stats["dropped_non_finite"] = dropped_non_finite
     # sort by objective vector: a dominator always sorts before its
     # victims lexicographically, so one pass against the running front
-    # suffices
+    # suffices — and a kept vector, sorting no later, dominates a later
+    # one exactly when it differs and is no worse on every objective
     scored.sort(key=lambda item: item[1])
-    front: List[Tuple[Mapping, Tuple[float, ...]]] = []
+    front: List[Tuple[float, ...]] = []
+    kept = set()
     for row, vector in scored:
-        if any(_dominates(kept, vector) for _, kept in front):
+        if any(k != vector and all(map(le, k, vector)) for k in front):
             continue
-        front.append((row, vector))
-    kept_indexes = {id(row) for row, _ in front}
-    return [row for row in rows if id(row) in kept_indexes]
+        front.append(vector)
+        kept.add(id(row))
+    return [row for row in rows if id(row) in kept]
 
 
 def sensitivity_ranking(
@@ -186,6 +182,70 @@ def export_csv(
     return "\n".join(lines) + "\n"
 
 
+#: how json spells the floats ``repr`` writes as nan/inf/-inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _wrap(ends: str, items: Sequence[str], depth: int) -> str:
+    """A container at ``depth`` the way ``json.dumps(indent=1)`` lays
+    it out, from its already-encoded items."""
+    if not items:
+        return ends
+    inner = "\n" + " " * (depth + 1)
+    return (ends[0] + inner + ("," + inner).join(items) + "\n"
+            + " " * depth + ends[1])
+
+
+def _encode(value: object, depth: int) -> str:
+    """``json.dumps(value, indent=1, sort_keys=True)`` at ``depth``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, dict):
+        return _wrap("{}", [
+            f"{encode_basestring_ascii(k)}: {_encode(v, depth + 1)}"
+            for k, v in sorted(value.items())
+        ], depth)
+    if isinstance(value, (list, tuple)):
+        return _wrap("[]", [_encode(v, depth + 1) for v in value], depth)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
+def _template(keys: Sequence[str], depth: int) -> str:
+    """A %-template for an object at ``depth`` with these sorted keys."""
+    return _wrap("{}", [
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    ], depth)
+
+
+def _row_layout(values: Mapping, objectives: Mapping, source: bool) -> tuple:
+    """``(template, value keys, objective keys)`` for one row shape:
+    a row at depth 2 of the export, its members sorted."""
+    value_keys, objective_keys = sorted(values), sorted(objectives)
+    members = ['"error": %s', '"index": %s',
+               '"objectives": ' + _template(objective_keys, 3)]
+    if source:
+        members.append('"source": %s')
+    members.append('"values": ' + _template(value_keys, 3))
+    return _wrap("{}", members, 2), value_keys, objective_keys
+
+
 def export_json(
     rows: Sequence[Mapping],
     axis_names: Sequence[str],
@@ -193,26 +253,43 @@ def export_json(
     meta: Optional[Mapping[str, object]] = None,
 ) -> str:
     """Full results as canonical JSON (sorted keys, indent 1) — the
-    payload the resume-equivalence gate compares byte for byte."""
-    out_rows: List[Dict[str, object]] = []
+    payload the resume-equivalence gate compares byte for byte.
+
+    The text is ``json.dumps(payload, indent=1, sort_keys=True)``, but
+    each row fills a template made once per row shape, so no row goes
+    through json's pure-Python indenting encoder.
+    """
+    layouts: Dict[tuple, tuple] = {}
+    out_rows: List[str] = []
     for row in rows:
-        out: Dict[str, object] = {
-            "index": int(row["index"]),
-            "values": {k: float(v) for k, v in row["values"].items()},
-            "objectives": {
-                k: float(v) for k, v in row.get("objectives", {}).items()
-            },
-            "error": str(row.get("error", "")),
-        }
-        if "source" in row:
-            out["source"] = str(row["source"])
-        out_rows.append(out)
-    payload: Dict[str, object] = {
-        "format": "powerplay-sweep-results/1",
+        values = row["values"]
+        scores = row.get("objectives", {})
+        source = "source" in row
+        shape = (tuple(values), tuple(scores), source)
+        layout = layouts.get(shape)
+        if layout is None:
+            layout = layouts[shape] = _row_layout(values, scores, source)
+        template, value_keys, objective_keys = layout
+        fields = [
+            encode_basestring_ascii(str(row.get("error", ""))),
+            int.__repr__(int(row["index"])),
+        ]
+        fields += [_float(float(scores[k])) for k in objective_keys]
+        if source:
+            fields.append(encode_basestring_ascii(str(row["source"])))
+        fields += [_float(float(values[k])) for k in value_keys]
+        out_rows.append(template % tuple(fields))
+    head: Dict[str, object] = {
         "axes": list(axis_names),
+        "format": "powerplay-sweep-results/1",
         "objectives": list(objectives),
-        "rows": out_rows,
     }
     if meta:
-        payload["meta"] = dict(meta)
-    return json.dumps(payload, indent=1, sort_keys=True)
+        head["meta"] = dict(meta)
+    members = [
+        f"{encode_basestring_ascii(k)}: {_encode(v, 1)}"
+        for k, v in sorted(head.items())
+    ]
+    # "rows" sorts after every other member
+    members.append('"rows": ' + _wrap("[]", out_rows, 1))
+    return _wrap("{}", members, 0)

@@ -15,8 +15,8 @@ Public surface:
 * :mod:`~repro.state.fsio` — the single home of the mkstemp + fsync +
   atomic-rename + quarantine rituals every file-based store shares;
 * :mod:`~repro.state.jsondoc` — the one compact JSON encoder the
-  session and job stores share, and the assembler that splices their
-  cached, already-encoded parts into a document.
+  session and job stores share, and the assembler that splices a
+  session's cached, already-encoded designs into its document.
 """
 
 from .backend import BACKEND_KINDS, StateBackend, open_backend

@@ -3,13 +3,14 @@
 PowerPlay's server-side state is a set of *named JSON documents* in a
 handful of *namespaces*:
 
-===========  =============================  ===========================
-namespace    key                            written by
-===========  =============================  ===========================
-``users``    validated username             :class:`repro.web.session.UserStore`
-``jobs``     ``job-NNNN`` id                :class:`repro.explore.jobs.JobStore`
-``registry``  ``kind--name--vN`` / ``pins``  :class:`repro.registry.store.MirrorStore`
-===========  =============================  ===========================
+==============  ==============================  ==========================
+namespace       key                             written by
+==============  ==============================  ==========================
+``users``       validated username              :class:`repro.web.session.UserStore`
+``jobs``        ``job-NNNN`` id (manifest)      :class:`repro.explore.jobs.JobStore`
+``jobs-parts``  ``job-NNNN.<token>.<n>``        :class:`repro.explore.jobs.JobStore`
+``registry``    ``kind--name--vN`` / ``pins``   :class:`repro.registry.store.MirrorStore`
+==============  ==============================  ==========================
 
 (The telemetry history's sealed segments follow the same atomic-
 document discipline via :mod:`repro.state.fsio`, but its fsynced

@@ -10,7 +10,8 @@ JSON, and read both.  The paths:
 
 * ``users``    -> ``<root>/<user>.json`` (sessions live at the root,
   as they have since PR 1);
-* ``jobs``     -> ``<root>/jobs/<job-id>.json``;
+* ``jobs``     -> ``<root>/jobs/<job-id>.json``, and the jobs' part
+  documents (``jobs-parts``) -> ``<root>/jobs/parts/<key>.json``;
 * ``registry`` -> ``<root>/registry/<kind>--<name>--vN.json`` and
   ``<root>/registry/pins.json``.
 
@@ -40,8 +41,12 @@ from .backend import StateBackend
 _KEY_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.@-]{0,127}\Z")
 
 #: namespace -> subdirectory relative to the root.  ``.`` means the
-#: root itself (the sessions' historical home).
-DEFAULT_LAYOUT: Mapping[str, str] = {"users": "."}
+#: root itself (the sessions' historical home); job parts sit under the
+#: jobs directory, where a standalone job store puts them too.
+DEFAULT_LAYOUT: Mapping[str, str] = {
+    "users": ".",
+    "jobs-parts": "jobs/parts",
+}
 
 
 def validate_doc_key(key: str) -> str:
@@ -56,8 +61,8 @@ class FileBackend(StateBackend):
     ``layout`` maps namespaces to subdirectories; unlisted namespaces
     live in a subdirectory named after the namespace.  A store that
     roots its own private backend (``JobStore(path)`` with no shared
-    backend) passes ``layout={"jobs": "."}`` so the historical paths
-    are preserved exactly.
+    backend) passes ``layout={"jobs": ".", "jobs-parts": "parts"}`` so
+    the paths match a shared backend's.
     """
 
     kind = "file"

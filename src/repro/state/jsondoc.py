@@ -1,11 +1,11 @@
 """Compact JSON documents assembled from already-encoded parts.
 
-The durable stores re-save a whole document on every change, but most
-of a document does not change between saves: a sweep job's finished
-chunks are write-once, and a PLAY edits one of a user's designs.  The
-stores therefore keep each such part's encoded text and splice it in
-with :func:`assemble`, encoding only what changed.  The result is
-byte-identical to encoding the whole payload in one call::
+The session store re-saves a whole document on every change, but a
+PLAY edits one of a user's designs.  It therefore keeps each design's
+encoded text and splices it in with :func:`assemble`, encoding only
+what changed.  (The job store writes each part of a job as its own
+document with :func:`dumps` instead.)  The result is byte-identical
+to encoding the whole payload in one call::
 
     dumps({"a": 1, "b": [2]}, sort_keys=True)
     == assemble({"b": dumps([2]), "a": dumps(1)}, sort_keys=True)

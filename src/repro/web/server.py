@@ -224,15 +224,28 @@ class _SoakFriendlyHTTPServer(ThreadingHTTPServer):
             self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         super().server_bind()
 
-    def process_request_thread(self, request, client_address) -> None:
+    def process_request(self, request, client_address) -> None:
+        # count the request before its thread exists: Thread.start()
+        # may return before the thread runs a line, and a drain that
+        # read zero in that window would close the server under it
         with self._inflight_cv:
             self._inflight += 1
         try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._finished()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
             super().process_request_thread(request, client_address)
         finally:
-            with self._inflight_cv:
-                self._inflight -= 1
-                self._inflight_cv.notify_all()
+            self._finished()
+
+    def _finished(self) -> None:
+        with self._inflight_cv:
+            self._inflight -= 1
+            self._inflight_cv.notify_all()
 
     @property
     def inflight(self) -> int:

@@ -179,9 +179,10 @@ class TestResumeEquivalence:
         )
         run_job(job, should_stop=lambda: len(job.chunks) >= 2)
         assert job.state == "cancelled"
-        path = tmp_path / f"{job.job_id}.json"
-        payload = json.loads(path.read_text())
+        # the single-document checkpoint of that era
+        payload = job.to_payload()
         payload["mode"] = "thread"
+        path = tmp_path / f"{job.job_id}.json"
         path.write_text(json.dumps(payload, sort_keys=True))
 
         fresh = JobStore(tmp_path)

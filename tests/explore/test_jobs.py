@@ -3,6 +3,7 @@
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.explore import (
     validate_job_id,
 )
 from repro.explore.engine import run_job
+from repro.state import BACKEND_KINDS, FileBackend, open_backend
 
 ADDER = TemplatePowerModel(
     "adder",
@@ -110,8 +112,139 @@ class TestStore:
         for start, stop in job.pending_chunks():
             job.record_chunk(start, stop, [{"index": i}
                                            for i in range(start, stop)], 0.0)
-            payload = json.loads(path.read_text())  # never torn
-            assert payload["format"] == "powerplay-job/1"
+            manifest = json.loads(path.read_text())  # never torn
+            assert manifest["format"] == "powerplay-job/2"
+            assert manifest["chunks"].keys() == {str(s) for s in job.chunks}
+            for key in [manifest["spec"], *manifest["chunks"].values()]:
+                json.loads((tmp_path / "parts" / f"{key}.json").read_text())
+
+
+@pytest.fixture(params=BACKEND_KINDS)
+def backend(request, tmp_path):
+    opened = open_backend(request.param, tmp_path / "state")
+    yield opened
+    opened.close()
+
+
+def manifest_of(backend, job_id):
+    return json.loads(backend.load("jobs", job_id))
+
+
+def quarantined_bytes(backend, label):
+    """The bytes a quarantine kept, wherever the backend keeps them."""
+    if isinstance(backend, FileBackend):
+        return Path(label).read_text()
+    row = backend._connection().execute(
+        "SELECT body FROM quarantine WHERE rowid = ?",
+        (int(label.rsplit("@q", 1)[1]),),
+    ).fetchone()
+    return row[0]
+
+
+def on_disk(backend, job_id, part_keys):
+    """``(namespace, key) -> text`` for a job's documents present now."""
+    docs = {("jobs", job_id): backend.load("jobs", job_id)}
+    for key in part_keys:
+        docs[("jobs-parts", key)] = backend.load("jobs-parts", key)
+    return {ref: text for ref, text in docs.items() if text is not None}
+
+
+class TestManifestAndParts:
+    def _job(self, backend, tmp_path):
+        """A job with one chunk; returns it and its spec and chunk keys."""
+        store = JobStore(tmp_path / "jobs", backend=backend)
+        job = store.create(make_design(), make_space(), chunk_size=2)
+        job.record_chunk(0, 2, [{"index": 0}, {"index": 1}], 0.5)
+        manifest = manifest_of(backend, job.job_id)
+        return job, (manifest["spec"], manifest["chunks"]["0"])
+
+    def _assert_quarantined(self, backend, tmp_path, job, docs, reason):
+        """Loading fails, and every document in ``docs`` went aside with
+        its bytes and the reason kept."""
+        fresh = JobStore(tmp_path / "jobs", backend=backend)
+        with pytest.raises(JobError, match="corrupt"):
+            fresh.job(job.job_id)
+        assert [record[0] for record in fresh.quarantined] == [job.job_id]
+        records = {
+            (ns, key): (label, why)
+            for ns, key, label, why in backend.quarantined
+        }
+        assert records.keys() == docs.keys()
+        for ref, text in docs.items():
+            label, why = records[ref]
+            assert quarantined_bytes(backend, label) == text
+            assert reason in why
+        assert backend.keys("jobs-parts") == []
+        assert fresh.list_jobs() == []
+
+    def test_corrupt_manifest_quarantines_the_job(self, backend, tmp_path):
+        job, keys = self._job(backend, tmp_path)
+        backend.save("jobs", job.job_id, '{"format": "powerplay-job/2", "st')
+        docs = on_disk(backend, job.job_id, keys)
+        self._assert_quarantined(backend, tmp_path, job, docs,
+                                 "Unterminated string")
+
+    def test_missing_part_quarantines_the_job(self, backend, tmp_path):
+        job, (spec, chunk) = self._job(backend, tmp_path)
+        backend.delete("jobs-parts", chunk)
+        docs = on_disk(backend, job.job_id, [spec, chunk])
+        self._assert_quarantined(backend, tmp_path, job, docs, "missing")
+
+    def test_corrupt_part_quarantines_the_job(self, backend, tmp_path):
+        job, keys = self._job(backend, tmp_path)
+        backend.save("jobs-parts", keys[1], '{"start": 0, "rows": [')
+        docs = on_disk(backend, job.job_id, keys)
+        self._assert_quarantined(backend, tmp_path, job, docs,
+                                 "Expecting value")
+
+    def test_reminted_id_never_reads_earlier_parts(self, backend, tmp_path):
+        first, _ = self._job(backend, tmp_path)
+        first.record_chunk(2, 4, [{"index": 2}, {"index": 3}], 0.5)
+        earlier = {key: backend.load("jobs-parts", key)
+                   for key in backend.keys("jobs-parts")}
+        # the manifest is lost but its parts are not: the id is free
+        backend.delete("jobs", first.job_id)
+        store = JobStore(tmp_path / "jobs", backend=backend)
+        second = store.create(make_design(), make_space(points=4),
+                              chunk_size=2)
+        assert second.job_id == first.job_id
+        second.record_chunk(0, 2, [{"index": 0, "error": "x"}] * 2, 0.1)
+
+        revived = JobStore(tmp_path / "jobs", backend=backend).job(
+            second.job_id)
+        assert revived.total_points == 4
+        assert sorted(revived.chunks) == [0]
+        assert revived.chunks[0]["rows"][0]["error"] == "x"
+        listed = set(manifest_of(backend, second.job_id)["chunks"].values())
+        assert listed.isdisjoint(earlier)
+        for key, text in earlier.items():  # nothing overwritten either
+            assert backend.load("jobs-parts", key) == text
+
+    def test_parts_are_never_jobs(self, backend, tmp_path, monkeypatch):
+        job, _ = self._job(backend, tmp_path)
+        store = JobStore(tmp_path / "jobs", backend=backend)
+        assert backend.keys("jobs-parts")
+        assert store.job_ids() == [job.job_id]
+        assert [j.job_id for j in store.list_jobs()] == [job.job_id]
+        globbed = []
+        keys = backend.keys
+        monkeypatch.setattr(
+            backend, "keys", lambda ns: globbed.append(ns) or keys(ns)
+        )
+        fresh = JobStore(tmp_path / "jobs", backend=backend)
+        assert fresh.create(make_design(), make_space()).job_id == "job-0002"
+        assert "jobs-parts" not in globbed
+
+    def test_cli_lists_no_parts(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = JobStore(tmp_path / "state" / "jobs")
+        job = store.create(make_design(), make_space(), chunk_size=2)
+        job.record_chunk(0, 2, [{"index": 0}, {"index": 1}], 0.5)
+        assert list((tmp_path / "state" / "jobs" / "parts").iterdir())
+        assert main(["jobs", "--state", str(tmp_path / "state")]) == 0
+        listing = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[0] for line in listing] == [job.job_id]
 
 
 class TestLifecycle:

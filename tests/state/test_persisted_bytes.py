@@ -1,16 +1,19 @@
 """What the session and job stores write, byte for byte.
 
-Both stores splice cached encodings of unchanged parts (a session's
-designs, a job's write-once chunks) into each save.  The oracle is the
-one-call encoding of the in-memory payload:
+The session store splices cached encodings of unchanged designs into
+each save; its oracle is the one-call encoding of the in-memory
+payload, ``json.dumps(session.to_payload(), separators=(",", ":"))``.
 
-* sessions: ``json.dumps(session.to_payload(), separators=(",", ":"))``;
-* jobs: the same with ``sort_keys=True``.
+The job store writes a manifest plus write-once parts.  Its oracle:
+the manifest and the parts it lists, read back from the backend,
+reassemble to exactly ``job.to_payload()``; each part's text is
+``jsondoc.dumps(part, sort_keys=True)``; and a checkpoint writes only
+the parts it newly lists, each under a key never written before.
 
-Random mutation sequences must write exactly the oracle after every
-step, on every backend.  Documents the earlier indented encoders wrote
-must still load, and an old job checkpoint must resume to the same
-export as an uninterrupted run.
+Random mutation sequences must meet the oracle after every step, on
+every backend.  Documents the earlier indented encoders wrote must
+still load, and an old single-document job checkpoint must resume to
+the same export as an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from repro.explore import (  # noqa: E402
 from repro.explore.engine import run_job  # noqa: E402
 from repro.explore.jobs import JOB_STATES  # noqa: E402
 from repro.library.catalog import LibraryEntry  # noqa: E402
-from repro.state import BACKEND_KINDS, open_backend  # noqa: E402
+from repro.state import BACKEND_KINDS, jsondoc, open_backend  # noqa: E402
 from repro.web.app import Application  # noqa: E402
 from repro.web.session import UserStore  # noqa: E402
 
@@ -74,6 +77,84 @@ def job_oracle(job) -> str:
     return json.dumps(
         job.to_payload(), sort_keys=True, separators=(",", ":")
     )
+
+
+#: the whole-job members a manifest holds itself, or lists parts for
+_MANIFEST_MEMBERS = ("format", "state", "error", "cancel_requested",
+                     "chunks", "phases")
+
+
+def listed_parts(manifest):
+    """Every part key a manifest lists."""
+    keys = [manifest["spec"], *manifest["chunks"].values()]
+    for slots in manifest.get("phases", {}).values():
+        for slot, value in slots.items():
+            keys += value.values() if slot == "chunks" else [value]
+    return keys
+
+
+def reassembled(backend, job):
+    """Read ``job``'s manifest and parts back and check each part's
+    text against the in-memory value it stands for; returns the
+    manifest and the whole-job text the two reassemble to."""
+    manifest = json.loads(backend.load("jobs", job.job_id))
+    assert manifest["format"] == "powerplay-job/2"
+    payload = job.to_payload()
+
+    def part(key, expected):
+        text = backend.load("jobs-parts", key)
+        assert text == jsondoc.dumps(expected, sort_keys=True)
+        return json.loads(text)
+
+    whole = part(manifest["spec"], {
+        k: v for k, v in payload.items() if k not in _MANIFEST_MEMBERS
+    })
+    whole.update(format="powerplay-job/1", state=manifest["state"],
+                 error=manifest["error"],
+                 cancel_requested=manifest["cancel_requested"])
+    whole["chunks"] = {
+        start: part(key, payload["chunks"][start])
+        for start, key in manifest["chunks"].items()
+    }
+    if "phases" in manifest:
+        whole["phases"] = {
+            phase: {
+                slot: (
+                    {o: part(k, payload["phases"][phase][slot][o])
+                     for o, k in value.items()}
+                    if slot == "chunks"
+                    else part(value, payload["phases"][phase][slot])
+                )
+                for slot, value in slots.items()
+            }
+            for phase, slots in manifest["phases"].items()
+        }
+    return manifest, jsondoc.dumps(whole, sort_keys=True)
+
+
+def assert_checkpoint(backend, job):
+    """The stored checkpoint reassembles to exactly the job."""
+    manifest, whole = reassembled(backend, job)
+    assert whole == job_oracle(job)
+    return manifest
+
+
+class _Saves:
+    """Records every ``(namespace, key)`` a backend saves."""
+
+    def __init__(self, backend):
+        self.log = []
+        save = backend.save
+
+        def recording(namespace, key, text):
+            save(namespace, key, text)
+            self.log.append((namespace, key))
+
+        backend.save = recording
+
+    def take(self):
+        log, self.log = self.log, []
+        return log
 
 
 def make_design(name="d", vdd=1.5):
@@ -284,8 +365,7 @@ def apply_job_op(store, job, op):
             store.forget(job.job_id)
             fresh = JobStore(store.root, backend=store.backend)
             revived = fresh.job(job.job_id)
-            # restored chunks are encoded lazily, on the first save
-            assert revived.to_json() == job_oracle(revived)
+            assert job_oracle(revived) == job_oracle(job)
             return revived
     except JobError:
         pass  # an illegal transition writes nothing
@@ -307,10 +387,39 @@ class TestJobBytes:
                 ParameterSpace([Axis("VDD", (1.0, 1.5, 2.0))]),
                 surrogate={} if surrogate else None,
             )
+            saves = _Saves(opened.backend)
+            listed = set(listed_parts(assert_checkpoint(opened.backend, job)))
+            written = set(listed)
             for op in ops:
                 job = apply_job_op(store, job, op)
-                text = store.backend.load("jobs", job.job_id)
-                assert text == job_oracle(job)
+                manifest = assert_checkpoint(opened.backend, job)
+                now = set(listed_parts(manifest))
+                parts = [key for ns, key in saves.take() if ns == "jobs-parts"]
+                # only the parts this step newly lists, each written once:
+                # at most the one chunk or phase data the op stored
+                assert sorted(parts) == sorted(now - listed)
+                assert len(parts) <= (op[0] in ("chunk", "phase_chunk",
+                                                "phase_data"))
+                assert written.isdisjoint(parts)
+                written.update(parts)
+                listed = now
+
+    def test_unchanged_chunks_are_not_rewritten(self, kind, tmp_path):
+        backend = open_backend(kind, tmp_path / "state")
+        try:
+            store = JobStore(tmp_path / "jobs", backend=backend)
+            job = store.create(make_design(), ParameterSpace(
+                [Axis("VDD", (1.0, 1.5))]))
+            job.record_chunk(0, 1, [{"index": 0}], 0.1)
+            saves = _Saves(backend)
+            job.record_chunk(1, 2, [{"index": 1}], 0.1)
+            assert [ns for ns, _ in saves.take()] == ["jobs-parts", "jobs"]
+            job.set_state("running")
+            job.request_cancel()
+            assert saves.take() == [("jobs", job.job_id)] * 2
+            assert_checkpoint(backend, job)
+        finally:
+            backend.close()
 
     def test_replaced_chunk_is_reencoded(self, kind, tmp_path):
         backend = open_backend(kind, tmp_path / "state")
@@ -319,8 +428,14 @@ class TestJobBytes:
             job = store.create(make_design(), ParameterSpace(
                 [Axis("VDD", (1.0, 1.5))]))
             job.record_chunk(0, 1, [{"index": 0}], 0.1)
+            first = assert_checkpoint(backend, job)["chunks"]["0"]
             job.record_chunk(0, 1, [{"index": 0, "error": "x"}], 0.2)
-            assert backend.load("jobs", job.job_id) == job_oracle(job)
+            second = assert_checkpoint(backend, job)["chunks"]["0"]
+            assert second != first
+            # the superseded part is never overwritten in place
+            assert json.loads(backend.load("jobs-parts", first))["rows"] == [
+                {"index": 0}
+            ]
         finally:
             backend.close()
 
@@ -390,7 +505,53 @@ class TestIndentedCheckpointResume:
             run_job(revived)
             assert revived.state == "done"
             assert exported(revived) == expected
-            assert backend.load("jobs", revived.job_id) == job_oracle(revived)
+            # the first save converted it to a manifest plus parts
+            assert_checkpoint(backend, revived)
+        finally:
+            backend.close()
+
+    def test_interrupted_conversion_keeps_the_old_document(
+            self, kind, surrogate, tmp_path):
+        with _Opened(kind) as opened:
+            whole = resumable_job(
+                JobStore(opened.root / "jobs", backend=opened.backend),
+                surrogate,
+            )
+            run_job(whole)
+            expected = exported(whole)
+
+        backend = open_backend(kind, tmp_path / "state")
+        try:
+            store = JobStore(tmp_path / "jobs", backend=backend)
+            job = resumable_job(store, surrogate)
+            run_job(job, should_stop=lambda: job.done_points > 0)
+            old = json.dumps(job.to_payload(), sort_keys=True)
+            backend.save("jobs", job.job_id, old)
+
+            # the converting save dies after its parts, before the
+            # manifest: the single document must stay in place
+            save = backend.save
+
+            def dying(namespace, key, text):
+                if namespace == "jobs":
+                    raise OSError("killed before the manifest")
+                save(namespace, key, text)
+
+            backend.save = dying
+            parts = set(backend.keys("jobs-parts"))
+            converting = JobStore(tmp_path / "jobs", backend=backend)
+            with pytest.raises(OSError):
+                converting.job(job.job_id).set_state("running")
+            backend.save = save
+            assert backend.load("jobs", job.job_id) == old
+            assert set(backend.keys("jobs-parts")) > parts  # orphans
+
+            revived = JobStore(tmp_path / "jobs", backend=backend).job(
+                job.job_id
+            )
+            run_job(revived)
+            assert exported(revived) == expected
+            assert_checkpoint(backend, revived)
         finally:
             backend.close()
 

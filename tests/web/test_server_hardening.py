@@ -142,6 +142,50 @@ class TestNoTracebackLeaks:
         assert "<html>" in response.body
 
 
+class TestDrain:
+    def test_accepted_request_counts_before_its_thread_runs(self, tmp_path):
+        # Thread.start() can return before the request thread runs its
+        # first line; a drain in that window must still see the request
+        with PowerPlayServer(tmp_path / "s") as server:
+            httpd = server._httpd
+            parked, release = threading.Event(), threading.Event()
+            run = httpd.process_request_thread
+
+            def parked_thread(request, client_address):
+                parked.set()
+                release.wait(5)
+                run(request, client_address)
+
+            httpd.process_request_thread = parked_thread
+            answer = {}
+
+            def fetch():
+                host, port = server.address
+                connection = http.client.HTTPConnection(host, port, timeout=5)
+                try:
+                    connection.request("GET", "/api/ping")
+                    response = connection.getresponse()
+                    answer["status"] = response.status
+                    answer["length"] = int(
+                        response.getheader("Content-Length"))
+                    answer["body"] = response.read()
+                finally:
+                    connection.close()
+
+            client = threading.Thread(target=fetch)
+            client.start()
+            try:
+                assert parked.wait(5)
+                assert httpd.drain(0.2) is False
+                assert httpd.inflight == 1
+            finally:
+                release.set()
+                client.join(5)
+            assert answer["status"] == 200
+            assert len(answer["body"]) == answer["length"] > 0
+            assert httpd.drain(2.0) is True
+
+
 class _RedirectMaze(BaseHTTPRequestHandler):
     """/loop redirects to itself; /hop/N redirects down to /hop/0."""
 
